@@ -147,11 +147,7 @@ def cmd_fit(args) -> int:
     k_max = int(_resolve(args, config, "k_max", 8))
     out = _out_dir(args, config)
     candidates = gmm.fit_candidates(prices.values, k_max, _em_config(args, config))
-    best = None
-    for row in candidates:
-        if row.report is not None and (best is None or row.report.bic < best.bic):
-            best = row.report
-    assert best is not None
+    best = gmm.best_fit(row.report for row in candidates)
     gmm.save_model(best.model, out / "model.json")
     with open(out / "bic.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -223,6 +219,7 @@ def cmd_backtest(args) -> int:
             "test_slots": len(price_split.test),
         },
         "estimator": estimator_to_json_dict(estimator),
+        "fits": list(estimator.fit_diagnostics),
         "beta": [
             {
                 "day": pt.day,

@@ -213,25 +213,30 @@ def verify_feasible(
 ) -> FeasibilityReport:
     """Check nonnegativity, power balance, and storage bounds slot by slot.
 
+    tol is relative: at slot t it is scaled by the cumulative demand level
+    D[t] + capacity (at least 1), the magnitude of the prefix sums that piece
+    quantities are cut from, so float rounding passes at any demand scale.
     Returns the first violated constraint rather than raising, so callers can
     report exactly where a schedule breaks.
     """
     if len(schedule) != len(load):
         raise LengthMismatchError(f"{len(schedule)} schedule slots vs {len(load)} demand slots")
+    slack = tol * np.maximum(1.0, np.cumsum(load.values) + capacity)
     level = 0.0
     for t in range(len(schedule)):
         g = schedule.direct[t]
         b = schedule.charge[t]
         c = schedule.discharge[t]
+        eps = slack[t]
         for name, value in (("direct", g), ("charge", b), ("discharge", c)):
-            if value < -tol:
+            if value < -eps:
                 return FeasibilityReport(False, f"negative {name}", t)
-        if abs(g + c - load.values[t]) > tol:
+        if abs(g + c - load.values[t]) > eps:
             return FeasibilityReport(False, "balance", t)
         level += b - c
-        if level < -tol:
+        if level < -eps:
             return FeasibilityReport(False, "storage below empty", t)
-        if level > capacity + tol:
+        if level > capacity + eps:
             return FeasibilityReport(False, "storage above capacity", t)
     return FeasibilityReport(True)
 

@@ -49,6 +49,10 @@ class LengthMismatchError(GridstashError):
     """Arrays that must be slot-aligned have different lengths."""
 
 
+class InfeasibleDispatchError(GridstashError):
+    """A policy run produced a dispatch that breaks balance, sign or storage bounds."""
+
+
 class AssignmentWindowError(GridstashError):
     """A purchase slot falls outside its demand piece's feasible window."""
 

@@ -1,9 +1,12 @@
 """One-dimensional Gaussian mixture fitting via EM with BIC model selection.
 
-The fitting loop is written out by hand (log-domain E-step, closed-form
-M-step, k-means++-style seeding) so its convergence accounting and failure
-modes are fully under our control; scipy supplies only logsumexp and the
-normal CDF.
+The fitting loop is written out by hand (log-domain E-step with a
+max-shifted numpy log-sum-exp, closed-form M-step, k-means++-style seeding)
+so its convergence accounting and failure modes are fully under our control;
+scipy supplies only the normal CDF. One EM core fits many equal-size sample
+groups ("lanes") with the same component count at once: ``em_fit`` is its
+one-lane case, and ``select_models`` runs the BIC sweep of many groups
+through it together.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from .errors import DegenerateFitError, InsufficientSamplesError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 # A component whose total responsibility falls below this is starved.
 _RESP_EPS = 1e-12
@@ -151,14 +155,42 @@ def n_free_params(n_components: int) -> int:
     return 3 * n_components - 1
 
 
-def _log_component_densities(x: np.ndarray, weights, means, stds) -> np.ndarray:
-    z = (x[:, None] - means[None, :]) / stds[None, :]
-    return (
-        np.log(np.maximum(weights, 1e-300))[None, :]
-        - np.log(stds)[None, :]
-        - 0.5 * z * z
-        - 0.5 * _LOG_2PI
-    )
+def _log_densities(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.ndarray:
+    """Fill out (lanes, K, n) with log(w_k * N(x_i | mu_k, s_k)) for each lane's samples.
+
+    x is (lanes, n); the parameters are (lanes, K).
+    """
+    np.subtract(x[:, None, :], means[:, :, None], out=out)
+    out *= (_SQRT_HALF / stds)[:, :, None]
+    np.square(out, out=out)
+    log_scale = np.log(np.maximum(weights, 1e-300)) - np.log(stds) - 0.5 * _LOG_2PI
+    return np.subtract(log_scale[:, :, None], out, out=out)
+
+
+def _exp_shifted(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite a with exp(a - max) along axis; return (sums, maxima), axis kept.
+
+    A non-finite maximum shifts by 0 instead, as scipy's logsumexp does, so a
+    slice that is all -inf sums to 0 and logs to -inf rather than NaN.
+    """
+    peak = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(peak)
+    if not finite.all():
+        peak[~finite] = 0.0
+    a -= peak
+    np.exp(a, out=a)
+    return a.sum(axis=axis, keepdims=True), peak
+
+
+def _log_of_sums(total: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(total) + peak
+
+
+def logsumexp(a, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along axis, computed max-shifted so nothing overflows."""
+    work = np.array(a, dtype=float)
+    return np.squeeze(_log_of_sums(*_exp_shifted(work, axis)), axis=axis)
 
 
 def log_likelihood(model: GmmModel, samples) -> float:
@@ -166,8 +198,9 @@ def log_likelihood(model: GmmModel, samples) -> float:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         return 0.0
-    log_comp = _log_component_densities(x, model.weights, model.means, model.stds)
-    return float(np.sum(logsumexp(log_comp, axis=1)))
+    comp = np.empty((1, model.n_components, x.size))
+    _log_densities(x[None, :], model.weights[None, :], model.means[None, :], model.stds[None, :], comp)
+    return float(np.sum(logsumexp(comp, axis=1)))
 
 
 def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,6 +244,124 @@ def _initial_params(x: np.ndarray, k: int, rng: np.random.Generator, floor: floa
     return weights, means, stds
 
 
+def _finite_samples(samples) -> np.ndarray:
+    x = np.asarray(samples, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    return x
+
+
+def _too_few(n_samples: int, n_components: int) -> InsufficientSamplesError | None:
+    if n_samples < n_components:
+        return InsufficientSamplesError(
+            f"{n_samples} samples cannot support {n_components} components"
+        )
+    return None
+
+
+def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | DegenerateFitError]:
+    """Run em_fit on every row of x (lanes, n) at once, one config per lane.
+
+    Each lane keeps its own seed, sigma floor, trace, iteration count and
+    failure; a lane that converges, reaches its max_iter or degenerates
+    leaves the active set while the others carry on. Returns, per lane, its
+    report or the DegenerateFitError em_fit would raise.
+    """
+    lanes, n = x.shape
+    k = n_components
+    weights = np.empty((lanes, k))
+    means = np.empty((lanes, k))
+    stds = np.empty((lanes, k))
+    floors = np.empty(lanes)
+    for g, config in enumerate(configs):
+        floor = config.sigma_floor * float(x[g].std())
+        floors[g] = floor if floor > 0 else 1e-9
+        rng = np.random.default_rng(config.init_seed)
+        weights[g], means[g], stds[g] = _initial_params(x[g], k, rng, floors[g])
+    tol = np.array([c.tol for c in configs])
+    max_iter = np.array([c.max_iter for c in configs])
+    # log-likelihood per lane and pass; widened on demand, so a large
+    # max_iter costs nothing until passes actually run
+    trace = np.empty((lanes, 64))
+    results: list = [None] * lanes
+    live = np.arange(lanes)
+    prev = np.full(lanes, -math.inf)
+    # the E-step and M-step work in place in these two (lanes, K, n) buffers;
+    # leaving lanes shrink the prefix in use
+    comp_buf = np.empty((lanes, k, n))
+    work_buf = np.empty_like(comp_buf)
+
+    def report(i: int, log_lik: float, passes: int, converged: bool) -> FitReport:
+        # lane i of the current active set, before the set shrinks
+        return FitReport(
+            model=make_model(weights[i], means[i], stds[i]),
+            log_likelihood=log_lik,
+            bic=bic(log_lik, n, n_free_params(k)),
+            iterations=passes,
+            converged=converged,
+            n_samples=n,
+            ll_trace=tuple(trace[live[i], : passes + 1].tolist()),
+        )
+
+    passes = 0
+    while live.size:
+        comp = _log_densities(x, weights, means, stds, comp_buf[: live.size])
+        total, peak = _exp_shifted(comp, axis=1)
+        ll = _log_of_sums(total, peak).sum(axis=2)[:, 0]
+        if passes == trace.shape[1]:
+            trace = np.concatenate([trace, np.empty_like(trace)], axis=1)
+        trace[live, passes] = ll
+        capped = max_iter == passes
+        nonfinite = ~np.isfinite(ll)
+        decreased = ll < prev - 1e-9
+        done = capped | nonfinite | decreased | (np.abs(ll - prev) < tol)
+        if done.any():
+            for i in np.flatnonzero(done):
+                log_lik = float(ll[i])
+                if capped[i]:
+                    results[live[i]] = report(i, log_lik, passes, converged=False)
+                elif nonfinite[i]:
+                    results[live[i]] = DegenerateFitError(f"log-likelihood became {log_lik!r}")
+                elif decreased[i]:
+                    results[live[i]] = DegenerateFitError(
+                        f"log-likelihood decreased from {float(prev[i])!r} to {log_lik!r}"
+                    )
+                else:
+                    results[live[i]] = report(i, log_lik, passes, converged=True)
+            keep = ~done
+            live, x, floors, tol, max_iter, ll, total = (
+                a[keep] for a in (live, x, floors, tol, max_iter, ll, total)
+            )
+            comp_buf[: live.size] = comp[keep]
+            comp = comp_buf[: live.size]
+        comp /= total
+        resp_totals = comp.sum(axis=2)
+        starved = resp_totals.min(axis=1) < _RESP_EPS
+        if starved.any():
+            for i in np.flatnonzero(starved):
+                j = int(np.argmin(resp_totals[i]))
+                results[live[i]] = DegenerateFitError(
+                    f"component {j} lost all responsibility (total {resp_totals[i, j]!r})"
+                )
+            keep = ~starved
+            live, x, floors, tol, max_iter, ll, resp_totals = (
+                a[keep] for a in (live, x, floors, tol, max_iter, ll, resp_totals)
+            )
+            comp_buf[: live.size] = comp[keep]
+            comp = comp_buf[: live.size]
+        work = work_buf[: live.size]
+        np.multiply(comp, x[:, None, :], out=work)
+        means = work.sum(axis=2) / resp_totals
+        np.subtract(x[:, None, :], means[:, :, None], out=work)
+        np.square(work, out=work)
+        work *= comp
+        stds = np.maximum(np.sqrt(work.sum(axis=2) / resp_totals), floors[:, None])
+        weights = resp_totals / n
+        prev = ll
+        passes += 1
+    return results
+
+
 def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitReport:
     """Fit a mixture by expectation-maximization.
 
@@ -222,76 +373,19 @@ def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitRepo
     """
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
-    x = np.asarray(samples, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    n = x.size
-    if n < n_components:
-        raise InsufficientSamplesError(
-            f"{n} samples cannot support {n_components} components"
-        )
-    rng = np.random.default_rng(config.init_seed)
-    floor = config.sigma_floor * float(x.std())
-    if floor <= 0:
-        floor = 1e-9
-    weights, means, stds = _initial_params(x, n_components, rng, floor)
-
-    prev_ll = -math.inf
-    trace: list[float] = []
-    iterations = 0
-    converged = False
-    for _ in range(config.max_iter):
-        log_comp = _log_component_densities(x, weights, means, stds)
-        log_norm = logsumexp(log_comp, axis=1)
-        ll = float(log_norm.sum())
-        if not math.isfinite(ll):
-            raise DegenerateFitError(f"log-likelihood became {ll!r}")
-        if ll < prev_ll - 1e-9:
-            raise DegenerateFitError(
-                f"log-likelihood decreased from {prev_ll!r} to {ll!r}"
-            )
-        trace.append(ll)
-        if abs(ll - prev_ll) < config.tol:
-            converged = True
-            break
-        prev_ll = ll
-        resp = np.exp(log_comp - log_norm[:, None])
-        resp_totals = resp.sum(axis=0)
-        if resp_totals.min() < _RESP_EPS:
-            starved = int(np.argmin(resp_totals))
-            raise DegenerateFitError(
-                f"component {starved} lost all responsibility "
-                f"(total {resp_totals[starved]!r})"
-            )
-        means = (resp.T @ x) / resp_totals
-        var = np.einsum("ik,ik->k", resp, (x[:, None] - means[None, :]) ** 2)
-        stds = np.maximum(np.sqrt(var / resp_totals), floor)
-        weights = resp_totals / n
-        iterations += 1
-
-    final_ll = trace[-1] if converged else log_likelihood_of_params(x, weights, means, stds)
-    if not converged:
-        trace.append(final_ll)
-    model = make_model(weights, means, stds)
-    return FitReport(
-        model=model,
-        log_likelihood=final_ll,
-        bic=bic(final_ll, n, n_free_params(n_components)),
-        iterations=iterations,
-        converged=converged,
-        n_samples=n,
-        ll_trace=tuple(trace),
-    )
+    x = _finite_samples(samples)
+    error = _too_few(x.size, n_components)
+    if error is not None:
+        raise error
+    result = _em_lanes(x[None, :], n_components, [config])[0]
+    if isinstance(result, DegenerateFitError):
+        raise result
+    return result
 
 
-def log_likelihood_of_params(x: np.ndarray, weights, means, stds) -> float:
-    log_comp = _log_component_densities(x, np.asarray(weights), np.asarray(means), np.asarray(stds))
-    return float(np.sum(logsumexp(log_comp, axis=1)))
-
-
-def _per_candidate_config(config: EmConfig, n_components: int) -> EmConfig:
-    # deterministic per-K seed so candidate fits are order-independent
-    derived = int(np.random.SeedSequence([config.init_seed, n_components]).generate_state(1)[0])
+def derive_config(config: EmConfig, *keys: int) -> EmConfig:
+    """config with a seed derived from its own and keys, so fits are order-independent."""
+    derived = int(np.random.SeedSequence([config.init_seed, *keys]).generate_state(1)[0])
     return replace(config, init_seed=derived)
 
 
@@ -312,7 +406,7 @@ def fit_candidates(samples, max_components: int, config: EmConfig = EmConfig()) 
     last_error: Exception | None = None
     for k in range(1, max_components + 1):
         try:
-            report = em_fit(samples, k, _per_candidate_config(config, k))
+            report = em_fit(samples, k, derive_config(config, k))
         except (DegenerateFitError, InsufficientSamplesError) as exc:
             rows.append(CandidateFit(k, None, str(exc)))
             last_error = exc
@@ -324,16 +418,82 @@ def fit_candidates(samples, max_components: int, config: EmConfig = EmConfig()) 
     return rows
 
 
+def best_fit(reports) -> FitReport:
+    """The report with the lowest BIC, skipping None; ties go to the earlier one.
+
+    Given in order of K, ties therefore go to fewer components.
+    """
+    best: FitReport | None = None
+    for report in reports:
+        if report is not None and (best is None or report.bic < best.bic):
+            best = report
+    if best is None:
+        raise ValueError("no candidate fit succeeded")
+    return best
+
+
 def select_model(samples, max_components: int, config: EmConfig = EmConfig()) -> FitReport:
     """Pick the candidate with the lowest BIC; ties go to fewer components."""
-    best: FitReport | None = None
-    for row in fit_candidates(samples, max_components, config):
-        if row.report is None:
-            continue
-        if best is None or row.report.bic < best.bic:
-            best = row.report
-    assert best is not None  # fit_candidates raised otherwise
-    return best
+    return best_fit(row.report for row in fit_candidates(samples, max_components, config))
+
+
+@dataclass(frozen=True)
+class Selection:
+    """The BIC pick for one sample group, and how the other candidates ended."""
+
+    best: FitReport
+    errors: tuple[tuple[int, str], ...]  # (K, message) of each candidate that raised
+    capped: tuple[int, ...]  # K of each candidate that stopped at max_iter
+
+    def diagnostics(self) -> dict:
+        """Deterministic facts about the sweep, safe for reproducible outputs."""
+        return {
+            "selected_components": self.best.model.n_components,
+            "iterations": self.best.iterations,
+            "converged": self.best.converged,
+            "failed_components": [k for k, _ in self.errors],
+            "capped_components": list(self.capped),
+        }
+
+
+def select_models(groups, max_components, configs) -> list[Selection]:
+    """select_model over many sample groups, each with its own cap and config.
+
+    Picks and raised errors are those of select_model on each group alone.
+    Groups sharing a sample count and a cap are fitted together: each K runs
+    once for the bucket, with one EM lane per group. Only each group's best
+    report so far is kept, so memory does not grow with the candidates.
+    """
+    xs = [_finite_samples(g) for g in groups]
+    best: list[FitReport | None] = [None] * len(xs)
+    errors: list[list[tuple[int, str]]] = [[] for _ in xs]
+    capped: list[list[int]] = [[] for _ in xs]
+    last_error: list[Exception | None] = [None] * len(xs)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (x, cap) in enumerate(zip(xs, max_components)):
+        if cap < 1:
+            raise ValueError(f"max_components must be >= 1, got {cap}")
+        buckets.setdefault((x.size, cap), []).append(i)
+    for (n, cap), members in buckets.items():
+        stacked = np.stack([xs[i] for i in members])
+        for k in range(1, cap + 1):
+            error = _too_few(n, k)
+            if error is not None:
+                lane_results = [error] * len(members)
+            else:
+                lane_results = _em_lanes(stacked, k, [derive_config(configs[i], k) for i in members])
+            for i, result in zip(members, lane_results):
+                if isinstance(result, FitReport):
+                    if not result.converged:
+                        capped[i].append(k)
+                    best[i] = best_fit((best[i], result))
+                else:
+                    errors[i].append((k, str(result)))
+                    last_error[i] = result
+    for i in range(len(xs)):
+        if best[i] is None:
+            raise last_error[i]
+    return [Selection(b, tuple(e), tuple(c)) for b, e, c in zip(best, errors, capped)]
 
 
 def pdf(model: GmmModel, p) -> float | np.ndarray:

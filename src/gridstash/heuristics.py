@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
@@ -96,6 +96,8 @@ class PriceEstimator:
     hour_index: tuple[int, ...]
     labeling: PeriodLabeling | None = None
     quantile: float | None = None
+    # Selection.diagnostics() of each model; absent on an estimator loaded from JSON
+    fit_diagnostics: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.hour_index) != HOURS_PER_DAY:
@@ -131,9 +133,13 @@ def _component_cap(n_samples: int, max_components: int) -> int:
     return max(1, min(max_components, n_samples // 10))
 
 
-def _derived_config(config: gmm.EmConfig, *keys: int) -> gmm.EmConfig:
-    seed = int(np.random.SeedSequence([config.init_seed, *keys]).generate_state(1)[0])
-    return replace(config, init_seed=seed)
+def _select(groups, max_components: int, config: gmm.EmConfig, keys) -> list[gmm.Selection]:
+    """BIC-select one mixture per sample group, group i seeded from keys[i]."""
+    return gmm.select_models(
+        groups,
+        [_component_cap(g.size, max_components) for g in groups],
+        [gmm.derive_config(config, *key) for key in keys],
+    )
 
 
 def fit_estimator(
@@ -147,57 +153,54 @@ def fit_estimator(
 
     Every sub-model runs the EM sweep with BIC selection; each gets its own
     seed derived from the config seed so results do not depend on fit order.
+    The 24 hourly sub-models are fitted together, one EM lane per hour.
     A degenerate peak labeling (no peak or no off-peak hours) collapses the
     two-period variant to a single pooled model.
     """
     variant = Variant(variant)
     values = prices.values
     if variant is Variant.SINGLE:
-        report = gmm.select_model(
-            values, _component_cap(values.size, max_components), _derived_config(config, 0)
-        )
-        return PriceEstimator(variant, (report.model,), (0,) * HOURS_PER_DAY)
+        (sel,) = _select([values], max_components, config, [(0,)])
+        return PriceEstimator(variant, (sel.best.model,), (0,) * HOURS_PER_DAY, fit_diagnostics=(sel.diagnostics(),))
     if variant is Variant.HOURLY:
         if len(prices) < HOURS_PER_DAY:
             raise InsufficientDataError(
                 f"hourly estimator needs at least one full day, got {len(prices)} slots"
             )
         hours = prices.hours_of_day()
-        models = []
-        for h in range(HOURS_PER_DAY):
-            samples = values[hours == h]
-            report = gmm.select_model(
-                samples, _component_cap(samples.size, max_components), _derived_config(config, 1, h)
-            )
-            models.append(report.model)
-        return PriceEstimator(variant, tuple(models), tuple(range(HOURS_PER_DAY)))
-    labeling = detect_periods(prices, quantile)
-    if not labeling.peak or not labeling.offpeak:
-        report = gmm.select_model(
-            values, _component_cap(values.size, max_components), _derived_config(config, 2)
+        sels = _select(
+            [values[hours == h] for h in range(HOURS_PER_DAY)],
+            max_components,
+            config,
+            [(1, h) for h in range(HOURS_PER_DAY)],
         )
         return PriceEstimator(
+            variant,
+            tuple(sel.best.model for sel in sels),
+            tuple(range(HOURS_PER_DAY)),
+            fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
+        )
+    labeling = detect_periods(prices, quantile)
+    if not labeling.peak or not labeling.offpeak:
+        (sel,) = _select([values], max_components, config, [(2,)])
+        return PriceEstimator(
             Variant.PEAK_OFFPEAK,
-            (report.model,),
+            (sel.best.model,),
             (0,) * HOURS_PER_DAY,
             labeling=labeling,
             quantile=quantile,
+            fit_diagnostics=(sel.diagnostics(),),
         )
-    hours = prices.hours_of_day()
-    peak_mask = np.isin(hours, sorted(labeling.peak))
-    groups = {}
-    for role, mask in (("offpeak", ~peak_mask), ("peak", peak_mask)):
-        samples = values[mask]
-        report = gmm.select_model(
-            samples,
-            _component_cap(samples.size, max_components),
-            _derived_config(config, 3 if role == "peak" else 4),
-        )
-        groups[role] = report.model
-    models = (groups["offpeak"], groups["peak"])
+    peak_mask = np.isin(prices.hours_of_day(), sorted(labeling.peak))
+    sels = _select([values[~peak_mask], values[peak_mask]], max_components, config, [(4,), (3,)])
     hour_index = tuple(1 if labeling.is_peak(h) else 0 for h in range(HOURS_PER_DAY))
     return PriceEstimator(
-        Variant.PEAK_OFFPEAK, models, hour_index, labeling=labeling, quantile=quantile
+        Variant.PEAK_OFFPEAK,
+        tuple(sel.best.model for sel in sels),
+        hour_index,
+        labeling=labeling,
+        quantile=quantile,
+        fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
     )
 
 

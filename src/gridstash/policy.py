@@ -27,7 +27,7 @@ from .decomposition import (
     verify_feasible,
 )
 from .distributions import PriceDistribution
-from .errors import LengthMismatchError
+from .errors import InfeasibleDispatchError, LengthMismatchError
 
 
 @runtime_checkable
@@ -233,7 +233,7 @@ def run_policy(
     dispatch = schedule_from_assignments(load, pieces, buy_slots)
     report = verify_feasible(dispatch, load, capacity)
     if not report.ok:
-        raise AssertionError(
+        raise InfeasibleDispatchError(
             f"policy produced an infeasible dispatch: {report.violation} at slot {report.slot}"
         )
     total = math.fsum(r.quantity * r.price for r in records)

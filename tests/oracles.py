@@ -3,12 +3,19 @@
 Deliberately dumb and exhaustive: a storage-lattice dynamic program over
 integer instances, and full price-path enumeration for expected policy cost.
 Neither shares code with the package's decomposition or recursion paths.
+The EM reference is the plain one-fit-at-a-time loop with scipy's logsumexp;
+it shares only the seeded initialisation with the package's batched core.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+import numpy as np
+from scipy.special import logsumexp
+
+from gridstash.errors import DegenerateFitError, InsufficientSamplesError
+from gridstash.gmm import EmConfig, FitReport, _initial_params, bic, make_model, n_free_params
 from gridstash.policy import ThresholdSchedule, simulate_one_shot_matrix
 
 
@@ -66,3 +73,74 @@ def enumerate_offline_expected_min(values, probs, horizon: int) -> float:
     idx, paths = all_price_paths(values, horizon)
     weights = probs[idx].prod(axis=1)
     return float(np.dot(paths.min(axis=1), weights))
+
+
+def _reference_log_comp(x: np.ndarray, weights, means, stds) -> np.ndarray:
+    z = (x[:, None] - means[None, :]) / stds[None, :]
+    return (
+        np.log(np.maximum(weights, 1e-300))[None, :]
+        - np.log(stds)[None, :]
+        - 0.5 * z * z
+        - 0.5 * math.log(2.0 * math.pi)
+    )
+
+
+def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitReport:
+    """One EM fit, one pass at a time on an (n, K) array, as gmm.em_fit specifies."""
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
+    x = np.asarray(samples, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    n = x.size
+    if n < n_components:
+        raise InsufficientSamplesError(f"{n} samples cannot support {n_components} components")
+    rng = np.random.default_rng(config.init_seed)
+    floor = config.sigma_floor * float(x.std())
+    if floor <= 0:
+        floor = 1e-9
+    weights, means, stds = _initial_params(x, n_components, rng, floor)
+
+    prev_ll = -math.inf
+    trace: list[float] = []
+    iterations = 0
+    converged = False
+    for _ in range(config.max_iter):
+        log_comp = _reference_log_comp(x, weights, means, stds)
+        log_norm = logsumexp(log_comp, axis=1)
+        ll = float(log_norm.sum())
+        if not math.isfinite(ll):
+            raise DegenerateFitError(f"log-likelihood became {ll!r}")
+        if ll < prev_ll - 1e-9:
+            raise DegenerateFitError(f"log-likelihood decreased from {prev_ll!r} to {ll!r}")
+        trace.append(ll)
+        if abs(ll - prev_ll) < config.tol:
+            converged = True
+            break
+        prev_ll = ll
+        resp = np.exp(log_comp - log_norm[:, None])
+        resp_totals = resp.sum(axis=0)
+        if resp_totals.min() < 1e-12:
+            starved = int(np.argmin(resp_totals))
+            raise DegenerateFitError(
+                f"component {starved} lost all responsibility (total {resp_totals[starved]!r})"
+            )
+        means = (resp.T @ x) / resp_totals
+        var = np.einsum("ik,ik->k", resp, (x[:, None] - means[None, :]) ** 2)
+        stds = np.maximum(np.sqrt(var / resp_totals), floor)
+        weights = resp_totals / n
+        iterations += 1
+
+    if not converged:
+        log_comp = _reference_log_comp(x, weights, means, stds)
+        trace.append(float(np.sum(logsumexp(log_comp, axis=1))))
+    final_ll = trace[-1]
+    return FitReport(
+        model=make_model(weights, means, stds),
+        log_likelihood=final_ll,
+        bic=bic(final_ll, n, n_free_params(n_components)),
+        iterations=iterations,
+        converged=converged,
+        n_samples=n,
+        ll_trace=tuple(trace),
+    )

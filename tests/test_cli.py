@@ -9,7 +9,9 @@ import pytest
 
 import gridstash.cli as cli
 import gridstash.gmm
+import gridstash.policy
 from gridstash.data_io import load_load_trace, load_price_trace
+from gridstash.decomposition import FeasibilityReport
 from gridstash.errors import DegenerateFitError
 from gridstash.gmm import load_model
 
@@ -169,6 +171,40 @@ def test_backtest_short_trace_exits_4(tmp_path):
     assert run("backtest", "--prices", str(prices), "--loads", str(loads),
                "--train-days", "5", "--capacity", "1.0",
                "--out", str(tmp_path / "o")) == 4
+
+
+def test_backtest_infeasible_dispatch_exits_4(price_csv, load_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        gridstash.policy,
+        "verify_feasible",
+        lambda *args: FeasibilityReport(False, "storage above capacity", 7),
+    )
+    assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+               "--train-days", "21", "--variant", "single", "--capacity", "2.0",
+               "--k-max", "2", "--out", str(tmp_path / "o")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: ")
+    assert "storage above capacity at slot 7" in err
+
+
+def test_backtest_report_carries_fit_diagnostics(price_csv, load_csv, tmp_path):
+    out = tmp_path / "bt"
+    assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+               "--train-days", "21", "--variant", "hourly", "--capacity", "2.0",
+               "--k-max", "3", "--max-iter", "40", "--out", str(out), "--reproducible") == 0
+    report = json.loads((out / "report.json").read_text())
+    fits = report["fits"]
+    assert len(fits) == 24
+    for fit, model in zip(fits, report["estimator"]["models"]):
+        assert fit["selected_components"] == len(model["components"])
+        assert set(fit) == {"selected_components", "iterations", "converged",
+                            "failed_components", "capped_components"}
+        assert 1 <= fit["iterations"] <= 40
+        assert fit["converged"] == (fit["selected_components"] not in fit["capped_components"])
+        assert set(fit["capped_components"]) <= {1, 2}
+    # 21 samples per hour allow at most two components at ten samples each
+    assert all(fit["failed_components"] == [] for fit in fits)
+    assert any(fit["capped_components"] for fit in fits)
 
 
 def test_config_file_supplies_defaults_and_flags_win(price_csv, tmp_path):

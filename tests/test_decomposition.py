@@ -197,6 +197,18 @@ def test_verify_feasible_names_first_violation():
         verify_feasible(DispatchSchedule([1.0], [0.0], [0.0]), load, 5.0)
 
 
+def test_verify_feasible_tolerance_scales_with_cumulative_level():
+    # rounding of order 1e-16 * level passes; a real shortfall still fails
+    load = load_trace_from_values([4e6, 3e6, 5e6])
+    exact = DispatchSchedule([4e6, 3e6, 5e6], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert verify_feasible(exact, load, 1e6)
+    dust = DispatchSchedule([4e6, 3e6, 5e6 + 2e-8], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert verify_feasible(dust, load, 1e6)
+    short = DispatchSchedule([4e6, 3e6 - 1.0, 5e6], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    report = verify_feasible(short, load, 1e6)
+    assert report.violation == "balance" and report.slot == 1
+
+
 def test_storage_level_and_total_purchase():
     s = DispatchSchedule([1.0, 0.0, 2.0], [3.0, 0.0, 0.0], [0.0, 2.0, 1.0])
     assert list(s.storage_level()) == [3.0, 1.0, 0.0]

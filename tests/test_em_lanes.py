@@ -1,0 +1,177 @@
+"""The batched EM core against the one-fit-at-a-time reference in oracles."""
+
+from __future__ import annotations
+
+import math
+import re
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+
+import oracles
+from gridstash.errors import DegenerateFitError, InsufficientSamplesError
+from gridstash.gmm import (
+    EmConfig,
+    _em_lanes,
+    best_fit,
+    derive_config,
+    em_fit,
+    fit_candidates,
+    logsumexp,
+    make_model,
+    sample_with_rng,
+    select_models,
+)
+
+REL = 1e-9
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)")
+
+
+def _assert_same_error(got: str | None, want: str | None) -> None:
+    """Same message, with the numbers in it equal to within REL."""
+    if got is None or want is None:
+        assert got == want
+        return
+    assert _NUMBER.split(got) == _NUMBER.split(want)
+    for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        assert float(a) == pytest.approx(float(b), rel=REL, abs=0)
+
+
+def _reference_rows(samples, cap: int, config: EmConfig):
+    rows = []
+    for k in range(1, cap + 1):
+        try:
+            rows.append((k, oracles.reference_em_fit(samples, k, derive_config(config, k)), None))
+        except (DegenerateFitError, InsufficientSamplesError) as exc:
+            rows.append((k, None, str(exc)))
+    best = None
+    for _, report, _ in rows:
+        if report is not None and (best is None or report.bic < best.bic):
+            best = report
+    return rows, best
+
+
+def _assert_same_fit(got, want) -> None:
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert len(got.ll_trace) == len(want.ll_trace)
+    np.testing.assert_allclose(got.ll_trace, want.ll_trace, rtol=REL, atol=0)
+    for attr in ("weights", "means", "stds"):
+        np.testing.assert_allclose(
+            getattr(got.model, attr), getattr(want.model, attr), rtol=REL, atol=0
+        )
+
+
+def _random_group(rng, n: int) -> np.ndarray:
+    k = int(rng.integers(1, 4))
+    weights = rng.dirichlet(np.ones(k))
+    model = make_model(weights, rng.uniform(0.0, 40.0, k), rng.uniform(0.5, 4.0, k))
+    return sample_with_rng(model, n, rng)
+
+
+def _assert_same_selection(sel, ref_rows, ref_best) -> None:
+    assert sel.best.model.n_components == ref_best.model.n_components
+    _assert_same_fit(sel.best, ref_best)
+    ref_errors = [(k, error) for k, _, error in ref_rows if error is not None]
+    assert [k for k, _ in sel.errors] == [k for k, _ in ref_errors]
+    for (_, got), (_, want) in zip(sel.errors, ref_errors):
+        _assert_same_error(got, want)
+    assert list(sel.capped) == [
+        k for k, report, _ in ref_rows if report is not None and not report.converged
+    ]
+
+
+def _lane_groups():
+    """Random groups: one bucket of five equal-size lanes in which one lane
+    starves at K=3 and one stops at a 5-pass cap, then unequal sizes."""
+    rng = np.random.default_rng(20240601)
+    groups, caps, configs = [], [], []
+    for lane in range(5):
+        if lane == 2:
+            x = np.concatenate([np.zeros(60), np.ones(60)])
+        else:
+            x = _random_group(rng, 120)
+        groups.append(x)
+        caps.append(4)
+        configs.append(EmConfig(init_seed=lane, max_iter=5 if lane == 3 else 500))
+    for n, cap in ((80, 3), (80, 3), (50, 5), (120, 2)):
+        groups.append(_random_group(rng, n))
+        caps.append(cap)
+        configs.append(EmConfig(init_seed=int(rng.integers(1000))))
+    return groups, caps, configs
+
+
+def test_select_models_matches_reference_on_random_groups():
+    groups, caps, configs = _lane_groups()
+    selections = select_models(groups, caps, configs)
+    assert len(selections) == len(groups)
+    for x, cap, config, sel in zip(groups, caps, configs, selections):
+        _assert_same_selection(sel, *_reference_rows(x, cap, config))
+    assert [k for k, _ in selections[2].errors] == [3, 4]
+    assert "lost all responsibility" in selections[2].errors[0][1]
+    assert selections[3].diagnostics()["capped_components"] != []
+
+
+def test_em_lanes_match_reference_for_every_candidate():
+    groups, caps, configs = _lane_groups()
+    stacked = np.stack(groups[:5])
+    for k in range(1, caps[0] + 1):
+        lane_configs = [derive_config(c, k) for c in configs[:5]]
+        for x, config, got in zip(groups, lane_configs, _em_lanes(stacked, k, lane_configs)):
+            try:
+                want = oracles.reference_em_fit(x, k, config)
+            except DegenerateFitError as exc:
+                assert isinstance(got, DegenerateFitError)
+                _assert_same_error(str(got), str(exc))
+                continue
+            _assert_same_fit(got, want)
+            assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=REL, abs=0)
+            assert got.bic == pytest.approx(want.bic, rel=REL, abs=0)
+
+
+def test_em_fit_matches_reference_single_lane():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0.0, 1.0, 400), rng.normal(6.0, 2.0, 300)])
+    for k in (1, 2, 3, 5):
+        config = EmConfig(init_seed=k)
+        _assert_same_fit(em_fit(x, k, config), oracles.reference_em_fit(x, k, config))
+    with pytest.raises(DegenerateFitError) as got:
+        em_fit(np.concatenate([np.zeros(30), np.ones(30)]), 3)
+    with pytest.raises(DegenerateFitError) as want:
+        oracles.reference_em_fit(np.concatenate([np.zeros(30), np.ones(30)]), 3)
+    _assert_same_error(str(got.value), str(want.value))
+
+
+def test_select_models_agrees_with_fit_candidates_and_reraises():
+    rng = np.random.default_rng(8)
+    groups = [_random_group(rng, 90) for _ in range(3)]
+    configs = [EmConfig(init_seed=s) for s in (4, 5, 6)]
+    for x, config, sel in zip(groups, configs, select_models(groups, [3] * 3, configs)):
+        rows = fit_candidates(x, 3, config)
+        ref_rows = [(r.n_components, r.report, r.error) for r in rows]
+        _assert_same_selection(sel, ref_rows, best_fit(r.report for r in rows))
+    # every candidate of the empty group fails, so the sweep re-raises
+    with pytest.raises(InsufficientSamplesError):
+        select_models([groups[0], np.empty(0)], [2, 1], configs[:2])
+
+
+def test_logsumexp_matches_scipy_with_tied_maxima():
+    a = np.array(
+        [
+            [1.0, 1.0, 0.0],
+            [5.0, 5.0, 5.0],
+            [1000.0, 1000.0, -1000.0],
+            [-math.inf, -math.inf, -math.inf],
+            [-math.inf, 2.0, 2.0],
+            [-745.0, -745.0, -800.0],
+        ]
+    )
+    for axis in (0, 1, -1):
+        np.testing.assert_allclose(
+            logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-15, atol=0
+        )
+    assert logsumexp(a, axis=1)[1] == pytest.approx(5.0 + math.log(3.0), rel=1e-15)
+    assert logsumexp(a, axis=1)[3] == -math.inf
+    # the input is left as it was
+    assert a[0, 0] == 1.0 and a[2, 2] == -1000.0

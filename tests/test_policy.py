@@ -28,6 +28,7 @@ from gridstash.policy import (
     serve_one_shot,
     simulate_one_shot_matrix,
 )
+from gridstash.synth import synth_load, synth_prices
 
 U01 = UniformDistribution(0.0, 1.0)
 COIN = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
@@ -180,6 +181,19 @@ def test_run_policy_dispatch_is_feasible_and_costs_agree():
         assert result.total_cost == pytest.approx(
             result.schedule.cost(prices.values), abs=1e-9
         )
+
+
+def test_run_policy_feasible_at_large_demand_magnitude():
+    # prefix sums near 1e7 carry rounding far above an absolute 1e-9; the
+    # feasibility check must scale with the cumulative demand level
+    load = load_trace_from_values(synth_load(24 * 7, 3).values * 1e5)
+    prices = synth_prices(24 * 7, 2)
+    capacity = 0.5 * float(load.values.max())
+    result = run_policy(prices, load, capacity, ConstantSource(U01))
+    assert verify_feasible(result.schedule, load, capacity)
+    assert math.fsum(r.quantity for r in result.records) == pytest.approx(
+        float(load.values.sum()), rel=1e-12
+    )
 
 
 def test_run_policy_with_storage_beats_or_ties_deadline_buying():
