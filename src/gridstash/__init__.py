@@ -15,14 +15,10 @@ from .data_io import (
     split_train_test,
 )
 from .decomposition import (
-    CumulativeDemand,
     DispatchSchedule,
-    OneShotLoad,
-    ShiftedDemand,
-    accumulate,
+    Pieces,
     decompose,
     schedule_from_assignments,
-    shift,
     verify_feasible,
 )
 from .distributions import (
@@ -35,6 +31,7 @@ from .distributions import (
 from .evaluation import (
     ExperimentReport,
     RegretParams,
+    WindowMinima,
     brute_force_expected_cost,
     competitive_ratio,
     daily_cost_ratios,

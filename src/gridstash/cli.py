@@ -43,6 +43,8 @@ from .errors import (
     TraceValidationError,
 )
 from .evaluation import (
+    beta_rows,
+    beta_summary,
     beta_to_csv,
     daily_cost_ratios,
     gamma_to_csv,
@@ -209,7 +211,7 @@ def cmd_backtest(args) -> int:
         quantile=None if quantile is None else float(quantile),
     )
     points, summary = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator)
-    betas = [pt.beta for pt in points]
+    scored = beta_summary(points)
     doc = {
         "config": {
             "variant": variant.value,
@@ -220,18 +222,9 @@ def cmd_backtest(args) -> int:
         },
         "estimator": estimator_to_json_dict(estimator),
         "fits": list(estimator.fit_diagnostics),
-        "beta": [
-            {
-                "day": pt.day,
-                "online_cost": pt.online_cost,
-                "offline_cost": pt.offline_cost,
-                "beta": pt.beta,
-            }
-            for pt in points
-        ],
+        "beta": beta_rows(points),
         "summary": {
-            "beta_mean": float(np.mean(betas)),
-            "beta_max": float(np.max(betas)),
+            **scored,
             "total_online": summary.total_online,
             "total_offline": summary.total_offline,
         },
@@ -243,9 +236,10 @@ def cmd_backtest(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(("day", "beta"))
         for pt in points:
-            writer.writerow((pt.day, repr(pt.beta)))
+            if pt.beta is not None:
+                writer.writerow((pt.day, repr(pt.beta)))
     print(
-        f"backtest: {len(points)} days, mean beta {float(np.mean(betas)):.4f}, "
+        f"backtest: {len(points)} days, mean beta {scored['beta_mean']:.4f}, "
         f"online {summary.total_online:.2f} vs offline {summary.total_offline:.2f} -> {out}"
     )
     return 0

@@ -5,15 +5,15 @@ any slot t with cumulative-demand level inside (D[t_e - 1], D[t_e]] that fits
 under the shifted curve D + B. Slicing demand along those levels yields
 independent unit jobs ("pieces"), each with a feasible purchase window
 [t_start, t_end]; a dispatch schedule is recoverable from one purchase slot
-per piece.
+per piece. The pieces are held as three parallel arrays (``Pieces``), never
+as one object per piece: a year of hourly demand gives ~17k pieces per
+capacity.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,57 +25,30 @@ _PIECE_EPS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class CumulativeDemand:
-    """Prefix sums D[t] = d[0] + ... + d[t] of a demand trace."""
+class Pieces:
+    """One-shot jobs as parallel read-only arrays: piece i buys ``quantity[i]``
+    once in slots [t_start[i], t_end[i]].
 
-    levels: np.ndarray
+    Pieces are sorted by (t_end, level), so both t_start and t_end are
+    non-decreasing in piece order.
+    """
+
+    quantity: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.levels, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("levels must be a nonempty 1-D array")
-        if np.any(np.diff(arr) < 0) or arr[0] < 0:
-            raise ValueError("cumulative demand must be nonnegative and non-decreasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "levels", arr)
+        for name, dtype in (("quantity", float), ("t_start", np.int64), ("t_end", np.int64)):
+            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if not self.quantity.size == self.t_start.size == self.t_end.size:
+            raise LengthMismatchError("piece arrays differ in length")
 
     def __len__(self) -> int:
-        return int(self.levels.size)
-
-
-@dataclass(frozen=True)
-class ShiftedDemand:
-    """The cumulative curve lifted by the storage capacity: A[t] = D[t] + B."""
-
-    base: CumulativeDemand
-    capacity: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.capacity) or self.capacity < 0:
-            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity!r}")
-
-    @property
-    def levels(self) -> np.ndarray:
-        return self.base.levels + self.capacity
-
-
-@dataclass(frozen=True)
-class OneShotLoad:
-    """One unit job: buy ``quantity`` once in slots [t_start, t_end]."""
-
-    quantity: float
-    t_start: int
-    t_end: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.quantity) or self.quantity <= 0:
-            raise ValueError(f"quantity must be positive, got {self.quantity!r}")
-        if not 0 <= self.t_start <= self.t_end:
-            raise ValueError(f"bad window [{self.t_start}, {self.t_end}]")
-
-    @property
-    def window_length(self) -> int:
-        return self.t_end - self.t_start + 1
+        return int(self.quantity.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,78 +104,74 @@ class FeasibilityReport:
         return self.ok
 
 
-def accumulate(load: LoadTrace) -> CumulativeDemand:
-    return CumulativeDemand(np.cumsum(load.values))
-
-
-def shift(cumulative: CumulativeDemand, capacity: float) -> ShiftedDemand:
-    return ShiftedDemand(cumulative, capacity)
-
-
-def decompose(load: LoadTrace, capacity: float) -> tuple[OneShotLoad, ...]:
+def decompose(load: LoadTrace, capacity: float) -> Pieces:
     """Slice the demand trace into one-shot jobs under a capacity-B storage.
 
-    For each slot t_e with demand, its level interval (D[t_e-1], D[t_e]] is cut
-    at the shifted-curve breakpoints A[t] = D[t] + B; the sub-interval between
-    consecutive cuts can first be bought at the earliest slot whose shifted
-    level exceeds its lower cut. Pieces come out sorted by (t_end, level).
-    With capacity 0 every piece is (demand, t, t); total piece quantity per
-    deadline equals that slot's demand (exactly, when demands are exactly
-    representable; see tests for the float caveat).
+    The level axis (0, D[-1]] is cut at every cumulative level D[t] and every
+    shifted level A[t] = D[t] + B below D[-1]; each gap (lower, upper] between
+    consecutive cuts is one piece. Its deadline is the first slot whose D
+    reaches upper, and it can first be bought at the earliest slot whose A
+    exceeds lower. Pieces come out sorted by (t_end, level). With capacity 0
+    every piece is (demand, t, t); total piece quantity per deadline equals
+    that slot's demand (exactly, when demands are exactly representable; see
+    tests for the float caveat). Gaps no wider than float dust are dropped.
     """
     if not math.isfinite(capacity) or capacity < 0:
         raise ValueError(f"capacity must be finite and >= 0, got {capacity!r}")
-    cumulative = accumulate(load).levels
+    cumulative = np.cumsum(load.values)
     shifted = cumulative + capacity
-    pieces: list[OneShotLoad] = []
-    for t_end in (int(t) for t in np.nonzero(load.values > 0)[0]):
-        lower = float(cumulative[t_end - 1]) if t_end > 0 else 0.0
-        upper = float(cumulative[t_end])
-        current = lower
-        while current < upper:
-            # earliest slot whose shifted curve strictly exceeds this level;
-            # never past t_end because shifted[t_end] = upper + B > current
-            t_start = int(np.searchsorted(shifted, current, side="right"))
-            cut = min(upper, float(shifted[t_start])) if t_start < t_end else upper
-            quantity = cut - current
-            if quantity > _PIECE_EPS:
-                pieces.append(OneShotLoad(quantity, t_start, t_end))
-            current = cut
-    return tuple(pieces)
+    cuts = np.unique(
+        np.concatenate(([0.0], cumulative[cumulative > 0], shifted[shifted < cumulative[-1]]))
+    )
+    lower = cuts[:-1]
+    upper = cuts[1:]
+    quantity = upper - lower
+    keep = quantity > _PIECE_EPS
+    lower, upper = lower[keep], upper[keep]
+    return Pieces(
+        quantity[keep],
+        np.searchsorted(shifted, lower, side="right"),
+        np.searchsorted(cumulative, upper, side="left"),
+    )
 
 
-def schedule_from_assignments(
-    load: LoadTrace,
-    pieces: tuple[OneShotLoad, ...] | list[OneShotLoad],
-    buy_slots,
-) -> DispatchSchedule:
+def schedule_from_assignments(load: LoadTrace, pieces: Pieces, buy_slots) -> DispatchSchedule:
     """Turn one purchase slot per piece back into a slot-wise dispatch.
 
     A piece bought at its deadline is served directly; bought earlier, it is
-    charged at the purchase slot and discharged at the deadline.
+    charged at the purchase slot and discharged at the deadline. Slot totals
+    add the pieces in piece order.
     """
-    if len(pieces) != len(buy_slots):
-        raise LengthMismatchError(f"{len(pieces)} pieces vs {len(buy_slots)} buy slots")
+    slots = np.asarray(buy_slots).astype(np.int64)
+    if len(pieces) != slots.size:
+        raise LengthMismatchError(f"{len(pieces)} pieces vs {slots.size} buy slots")
     n = len(load)
-    direct = np.zeros(n)
-    charge = np.zeros(n)
-    discharge = np.zeros(n)
-    for piece, slot in zip(pieces, buy_slots):
-        slot = int(slot)
-        if not piece.t_start <= slot <= piece.t_end:
+    outside = (slots < pieces.t_start) | (slots > pieces.t_end)
+    beyond = pieces.t_end >= n
+    bad = np.flatnonzero(outside | beyond)
+    if bad.size:
+        i = bad[0]
+        if outside[i]:
             raise AssignmentWindowError(
-                f"buy slot {slot} outside window [{piece.t_start}, {piece.t_end}]"
+                f"buy slot {slots[i]} outside window [{pieces.t_start[i]}, {pieces.t_end[i]}]"
             )
-        if piece.t_end >= n:
-            raise AssignmentWindowError(
-                f"piece deadline {piece.t_end} beyond trace of {n} slots"
-            )
-        if slot == piece.t_end:
-            direct[slot] += piece.quantity
-        else:
-            charge[slot] += piece.quantity
-            discharge[piece.t_end] += piece.quantity
+        raise AssignmentWindowError(f"piece deadline {pieces.t_end[i]} beyond trace of {n} slots")
+    stored = slots != pieces.t_end
+    direct = np.bincount(slots[~stored], weights=pieces.quantity[~stored], minlength=n)
+    charge = np.bincount(slots[stored], weights=pieces.quantity[stored], minlength=n)
+    discharge = np.bincount(pieces.t_end[stored], weights=pieces.quantity[stored], minlength=n)
     return DispatchSchedule(direct, charge, discharge)
+
+
+# constraint names in the order a single slot is checked
+_CHECKS = (
+    "negative direct",
+    "negative charge",
+    "negative discharge",
+    "balance",
+    "storage below empty",
+    "storage above capacity",
+)
 
 
 def verify_feasible(
@@ -211,39 +180,32 @@ def verify_feasible(
     capacity: float,
     tol: float = 1e-9,
 ) -> FeasibilityReport:
-    """Check nonnegativity, power balance, and storage bounds slot by slot.
+    """Check nonnegativity, power balance, and storage bounds at every slot.
 
     tol is relative: at slot t it is scaled by the cumulative demand level
     D[t] + capacity (at least 1), the magnitude of the prefix sums that piece
     quantities are cut from, so float rounding passes at any demand scale.
     Returns the first violated constraint rather than raising, so callers can
-    report exactly where a schedule breaks.
+    report exactly where a schedule breaks: the earliest failing slot, and at
+    that slot the first failing check in the order of ``_CHECKS``.
     """
     if len(schedule) != len(load):
         raise LengthMismatchError(f"{len(schedule)} schedule slots vs {len(load)} demand slots")
     slack = tol * np.maximum(1.0, np.cumsum(load.values) + capacity)
-    level = 0.0
-    for t in range(len(schedule)):
-        g = schedule.direct[t]
-        b = schedule.charge[t]
-        c = schedule.discharge[t]
-        eps = slack[t]
-        for name, value in (("direct", g), ("charge", b), ("discharge", c)):
-            if value < -eps:
-                return FeasibilityReport(False, f"negative {name}", t)
-        if abs(g + c - load.values[t]) > eps:
-            return FeasibilityReport(False, "balance", t)
-        level += b - c
-        if level < -eps:
-            return FeasibilityReport(False, "storage below empty", t)
-        if level > capacity + eps:
-            return FeasibilityReport(False, "storage above capacity", t)
-    return FeasibilityReport(True)
-
-
-def pieces_to_csv(pieces, path) -> None:
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("quantity", "t_start", "t_end"))
-        for piece in pieces:
-            writer.writerow((repr(piece.quantity), piece.t_start, piece.t_end))
+    direct, charge, discharge = schedule.direct, schedule.charge, schedule.discharge
+    level = schedule.storage_level()
+    failed = np.stack(
+        (
+            direct < -slack,
+            charge < -slack,
+            discharge < -slack,
+            np.abs(direct + discharge - load.values) > slack,
+            level < -slack,
+            level > capacity + slack,
+        )
+    )
+    slots = np.flatnonzero(failed.any(axis=0))
+    if slots.size == 0:
+        return FeasibilityReport(True)
+    t = int(slots[0])
+    return FeasibilityReport(False, _CHECKS[int(np.argmax(failed[:, t]))], t)

@@ -2,11 +2,14 @@
 
 The offline oracle knows every realized price: a one-shot job pays the window
 minimum, and a full trace pays the sum of window minima over the decomposed
-pieces. Against those, the online policy's quality is summarized by additive
-regret and by cost ratios; two closed-form bounds dominate the expected
-one-shot regret (a distribution-shape bound and a mean/std specialization for
-uniform laws). Exhaustive oracles over small discrete supports pin the exact
-expectations the simulations must reproduce.
+pieces. Every window minimum comes from one sparse table over the price array
+(``WindowMinima``): log2(n) + 1 levels of running minima, two lookups per
+window, so a year of pieces costs a few vector operations. Against those, the
+online policy's quality is summarized by additive regret and by cost ratios;
+two closed-form bounds dominate the expected one-shot regret (a
+distribution-shape bound and a mean/std specialization for uniform laws).
+Exhaustive oracles over small discrete supports pin the exact expectations the
+simulations must reproduce.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import numpy as np
 from scipy import optimize
 
 from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned
-from .decomposition import decompose
+from .decomposition import Pieces, decompose
 from .distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from .errors import (
     BoundDomainError,
     InstanceTooLargeError,
+    InsufficientDataError,
     NegativeSupportError,
     NonpositiveOptimumError,
     ZeroBetaSumError,
@@ -52,6 +56,42 @@ def offline_one_shot(window_prices) -> tuple[int, float]:
     return slot, float(prices[slot])
 
 
+class WindowMinima:
+    """Minimum price over any window [t_start, t_end] of a fixed price array.
+
+    A sparse table: row k holds the minimum of every 2**k consecutive prices
+    (row 0 is the array itself), so a window is the minimum of two row-k
+    entries that together cover it, with 2**k the largest power of two not
+    longer than the window. Building costs log2(n) vector minima; a query
+    answers every window at once with two lookups each.
+    """
+
+    def __init__(self, values) -> None:
+        row = np.asarray(values, dtype=float)
+        if row.ndim != 1 or row.size == 0:
+            raise ValueError("window minima need a nonempty 1-D price array")
+        n = row.size
+        table = np.full((n.bit_length(), n), math.inf)
+        table[0] = row
+        for k in range(1, table.shape[0]):
+            half = 1 << (k - 1)
+            stop = n - 2 * half + 1
+            np.minimum(table[k - 1, :stop], table[k - 1, half : half + stop], out=table[k, :stop])
+        self._table = table
+
+    def __call__(self, t_start, t_end) -> np.ndarray:
+        lo = np.asarray(t_start, dtype=np.int64)
+        hi = np.asarray(t_end, dtype=np.int64)
+        # floor(log2(window length)), exact for integers via the float exponent
+        k = np.frexp(hi - lo + 1)[1] - 1
+        return np.minimum(self._table[k, lo], self._table[k, hi + 1 - (1 << k)])
+
+
+def offline_cost(minima: WindowMinima, pieces: Pieces) -> float:
+    """Hindsight cost of a piece set: each piece pays its window minimum."""
+    return math.fsum((pieces.quantity * minima(pieces.t_start, pieces.t_end)).tolist())
+
+
 def offline_optimal_general(prices: PriceTrace, load: LoadTrace, capacity: float) -> float:
     """Hindsight-optimal cost of serving the whole trace with capacity B.
 
@@ -59,11 +99,7 @@ def offline_optimal_general(prices: PriceTrace, load: LoadTrace, capacity: float
     that is the full-information optimum for the coupled storage problem.
     """
     ensure_aligned(prices, load)
-    pieces = decompose(load, capacity)
-    return math.fsum(
-        piece.quantity * float(prices.values[piece.t_start : piece.t_end + 1].min())
-        for piece in pieces
-    )
+    return offline_cost(WindowMinima(prices.values), decompose(load, capacity))
 
 
 def regret(cost: float, optimum: float) -> float:
@@ -245,12 +281,13 @@ class GammaPoint:
 
 @dataclass(frozen=True)
 class BetaPoint:
-    """One day's online-to-offline cost ratio."""
+    """One day's online-to-offline cost ratio; None when the day's hindsight
+    cost is not positive."""
 
     day: int
     online_cost: float
     offline_cost: float
-    beta: float
+    beta: float | None
 
 
 @dataclass(frozen=True)
@@ -334,10 +371,6 @@ def one_shot_regret_study(
     )
 
 
-def _day_of_slot(trace: LoadTrace | PriceTrace, t: int) -> int:
-    return (trace.start.hour + t) // HOURS_PER_DAY
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationSummary:
     """Totals of one realized policy run, with the run itself attached."""
@@ -357,31 +390,32 @@ def daily_cost_ratios(
 
     Costs attribute to the calendar day of each piece's deadline, so online
     and offline aggregate the same piece set and every daily ratio is >= 1
-    by construction. Days without demand are skipped.
+    by construction. Days without demand are skipped. A day whose hindsight
+    cost is zero or negative (negative prices) keeps its costs but has no
+    ratio: its ``beta`` is None.
     """
     result = run_policy(prices, load, capacity, source)
+    records = result.records
+    quantity = np.fromiter((r.quantity for r in records), float, len(records))
+    paid = np.fromiter((r.price for r in records), float, len(records))
+    t_start = np.fromiter((r.t_start for r in records), np.int64, len(records))
+    t_end = np.fromiter((r.t_end for r in records), np.int64, len(records))
+    minima = WindowMinima(prices.values)(t_start, t_end)
     n_days = (load.start.hour + len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
-    online = np.zeros(n_days)
-    offline = np.zeros(n_days)
-    for record in result.records:
-        day = _day_of_slot(load, record.t_end)
-        online[day] += record.quantity * record.price
-        window_min = float(prices.values[record.t_start : record.t_end + 1].min())
-        offline[day] += record.quantity * window_min
+    days = (load.start.hour + t_end) // HOURS_PER_DAY
+    # bincount adds in piece order, the same sums as a per-piece loop
+    online = np.bincount(days, weights=quantity * paid, minlength=n_days)
+    offline = np.bincount(days, weights=quantity * minima, minlength=n_days)
     points = []
     for day in range(n_days):
         if online[day] == 0.0 and offline[day] == 0.0:
             continue
-        if offline[day] <= 0:
-            raise NonpositiveOptimumError(
-                f"day {day} offline cost {offline[day]!r} is not positive"
-            )
         points.append(
             BetaPoint(
                 day=day,
                 online_cost=float(online[day]),
                 offline_cost=float(offline[day]),
-                beta=float(online[day] / offline[day]),
+                beta=float(online[day] / offline[day]) if offline[day] > 0 else None,
             )
         )
     summary = SimulationSummary(
@@ -390,6 +424,25 @@ def daily_cost_ratios(
         result=result,
     )
     return tuple(points), summary
+
+
+def beta_summary(points: Sequence[BetaPoint]) -> dict:
+    """Mean and max of the daily ratios, and how many days with costs have none.
+
+    Raises InsufficientDataError when no day has a ratio (no demand, or only
+    days whose hindsight cost is not positive): there is nothing to score.
+    """
+    betas = [pt.beta for pt in points if pt.beta is not None]
+    if not betas:
+        raise InsufficientDataError(
+            f"no day has a positive hindsight cost to score against "
+            f"({len(points)} days with costs, none with a beta)"
+        )
+    return {
+        "beta_mean": float(np.mean(betas)),
+        "beta_max": float(np.max(betas)),
+        "days_without_beta": len(points) - len(betas),
+    }
 
 
 def general_serving_study(
@@ -405,15 +458,13 @@ def general_serving_study(
     prices = PriceTrace(load.start, dist.sample(len(load), rng))
     src = source if source is not None else ConstantSource(dist)
     points, summary = daily_cost_ratios(prices, load, capacity, src)
-    betas = [pt.beta for pt in points]
     return ExperimentReport(
         kind="general_serving",
         seed=seed,
         config={"capacity": float(capacity), "n_slots": len(load)},
         beta_points=points,
         summary={
-            "beta_mean": float(np.mean(betas)) if betas else math.nan,
-            "beta_max": float(np.max(betas)) if betas else math.nan,
+            **beta_summary(points),
             "total_online": summary.total_online,
             "total_offline": summary.total_offline,
         },
@@ -453,16 +504,21 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             for pt in report.gamma_points
         ]
     if report.beta_points:
-        doc["beta"] = [
-            {
-                "day": pt.day,
-                "online_cost": pt.online_cost,
-                "offline_cost": pt.offline_cost,
-                "beta": pt.beta,
-            }
-            for pt in report.beta_points
-        ]
+        doc["beta"] = beta_rows(report.beta_points)
     return doc
+
+
+def beta_rows(points: Sequence[BetaPoint]) -> list[dict]:
+    """JSON rows of daily costs; a day without a ratio has ``"beta": null``."""
+    return [
+        {
+            "day": pt.day,
+            "online_cost": pt.online_cost,
+            "offline_cost": pt.offline_cost,
+            "beta": pt.beta,
+        }
+        for pt in points
+    ]
 
 
 def gamma_to_csv(report: ExperimentReport, path) -> None:
@@ -480,4 +536,5 @@ def beta_to_csv(report: ExperimentReport, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(("day", "beta"))
         for pt in report.beta_points:
-            writer.writerow((pt.day, repr(pt.beta)))
+            if pt.beta is not None:
+                writer.writerow((pt.day, repr(pt.beta)))

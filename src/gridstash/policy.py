@@ -21,7 +21,6 @@ import numpy as np
 from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import (
     DispatchSchedule,
-    OneShotLoad,
     decompose,
     schedule_from_assignments,
     verify_feasible,
@@ -203,27 +202,29 @@ def run_policy(
     cache: dict[tuple[int, int], ThresholdSchedule] = {}
     records = []
     buy_slots = []
-    for piece_id, piece in enumerate(pieces):
-        length = piece.window_length
-        key = (prices.hour_of_day(piece.t_start), length)
+    # plain Python numbers, so records print and serialize as floats and ints
+    columns = (pieces.quantity.tolist(), pieces.t_start.tolist(), pieces.t_end.tolist())
+    for piece_id, (quantity, t_start, t_end) in enumerate(zip(*columns)):
+        length = t_end - t_start + 1
+        key = (prices.hour_of_day(t_start), length)
         schedule = cache.get(key)
         if schedule is None:
             dists = [
-                source.distribution_for_hour(prices.hour_of_day(piece.t_start + j))
+                source.distribution_for_hour(prices.hour_of_day(t_start + j))
                 for j in range(length)
             ]
             schedule = compute_thresholds_timevarying(dists)
             cache[key] = schedule
-        window = prices.values[piece.t_start : piece.t_end + 1]
+        window = prices.values[t_start : t_end + 1]
         outcome = serve_one_shot(schedule, window)
-        buy_slot = piece.t_start + outcome.buy_offset
+        buy_slot = t_start + outcome.buy_offset
         buy_slots.append(buy_slot)
         records.append(
             PieceRecord(
                 piece_id=piece_id,
-                quantity=piece.quantity,
-                t_start=piece.t_start,
-                t_end=piece.t_end,
+                quantity=quantity,
+                t_start=t_start,
+                t_end=t_end,
                 buy_slot=buy_slot,
                 price=outcome.price,
                 threshold=outcome.threshold,

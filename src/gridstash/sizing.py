@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .data_io import LoadTrace, PriceTrace
+from .decomposition import decompose
 from .distributions import PriceDistribution
-from .evaluation import offline_optimal_general
+from .evaluation import WindowMinima, offline_cost, offline_optimal_general
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +98,16 @@ def expected_min_cost_curve(
     """Scenario-averaged curve: mean hindsight cost over sampled price traces.
 
     Diminishing marginal savings holds per scenario, hence for the average.
+    The pieces depend only on the load, so each capacity is decomposed once.
     """
     if n_scenarios < 1:
         raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    piece_sets = [decompose(load, float(b)) for b in capacities]
     totals = np.zeros(len(capacities))
     for _ in range(n_scenarios):
-        trace = PriceTrace(load.start, dist.sample(len(load), rng))
-        totals += [offline_optimal_general(trace, load, float(b)) for b in capacities]
+        minima = WindowMinima(dist.sample(len(load), rng))
+        totals += [offline_cost(minima, pieces) for pieces in piece_sets]
     costs = totals / n_scenarios
     return SizingCurve(tuple(float(b) for b in capacities), tuple(float(c) for c in costs))
 

@@ -3,6 +3,8 @@
 Deliberately dumb and exhaustive: a storage-lattice dynamic program over
 integer instances, and full price-path enumeration for expected policy cost.
 Neither shares code with the package's decomposition or recursion paths.
+The decomposition reference walks each deadline's level interval cut by cut,
+one piece at a time, as the package's whole-array sweep must reproduce.
 The EM reference is the plain one-fit-at-a-time loop with scipy's logsumexp;
 it shares only the seeded initialisation with the package's batched core.
 """
@@ -41,6 +43,33 @@ def dp_storage_optimum(prices, demands, capacity: int) -> float:
                         new[nxt] = total
         states = new
     return min(states.values())
+
+
+def reference_decompose(demand, capacity: float) -> list[tuple[float, int, int]]:
+    """(quantity, t_start, t_end) pieces, one level interval at a time.
+
+    For each slot t_e with demand, its level interval (D[t_e-1], D[t_e]] is
+    cut at the shifted levels A[t] = D[t] + B; the sub-interval between
+    consecutive cuts can first be bought at the earliest slot whose shifted
+    level exceeds its lower cut. Sub-intervals of 1e-12 or less are dropped.
+    """
+    values = np.asarray(demand, dtype=float)
+    cumulative = np.cumsum(values)
+    shifted = cumulative + capacity
+    pieces = []
+    for t_end in (int(t) for t in np.nonzero(values > 0)[0]):
+        lower = float(cumulative[t_end - 1]) if t_end > 0 else 0.0
+        upper = float(cumulative[t_end])
+        current = lower
+        while current < upper:
+            # never past t_end because shifted[t_end] = upper + B > current
+            t_start = int(np.searchsorted(shifted, current, side="right"))
+            cut = min(upper, float(shifted[t_start])) if t_start < t_end else upper
+            quantity = cut - current
+            if quantity > 1e-12:
+                pieces.append((quantity, t_start, t_end))
+            current = cut
+    return pieces
 
 
 def all_price_paths(values: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,14 @@ import pytest
 import gridstash.cli as cli
 import gridstash.gmm
 import gridstash.policy
-from gridstash.data_io import load_load_trace, load_price_trace
+from gridstash.data_io import (
+    load_load_trace,
+    load_price_trace,
+    load_trace_from_values,
+    price_trace_from_values,
+    save_load_trace,
+    save_price_trace,
+)
 from gridstash.decomposition import FeasibilityReport
 from gridstash.errors import DegenerateFitError
 from gridstash.gmm import load_model
@@ -185,6 +192,45 @@ def test_backtest_infeasible_dispatch_exits_4(price_csv, load_csv, tmp_path, mon
     err = capsys.readouterr().err
     assert err.startswith("experiment failed: ")
     assert "storage above capacity at slot 7" in err
+
+
+def test_backtest_negative_price_day_has_null_beta(price_csv, load_csv, tmp_path):
+    prices = load_price_trace(price_csv)
+    values = prices.values.copy()
+    values[23 * 24 : 24 * 24] = -5.0  # day 2 of the 7 test days
+    negative_csv = tmp_path / "negative.csv"
+    save_price_trace(price_trace_from_values(values, prices.start), negative_csv)
+    out = tmp_path / "bt"
+    assert run("backtest", "--prices", str(negative_csv), "--loads", str(load_csv),
+               "--train-days", "21", "--variant", "single", "--capacity", "2.0",
+               "--k-max", "2", "--out", str(out), "--reproducible") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [row["day"] for row in report["beta"]] == list(range(7))
+    unscored = [row for row in report["beta"] if row["beta"] is None]
+    assert 2 in [row["day"] for row in unscored]
+    assert all(row["offline_cost"] <= 0 for row in unscored)
+    summary = report["summary"]
+    assert summary["days_without_beta"] == len(unscored)
+    betas = [row["beta"] for row in report["beta"] if row["beta"] is not None]
+    assert summary["beta_mean"] == float(np.mean(betas))
+    assert summary["beta_max"] == max(betas)
+    rows = (out / "beta.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [
+        row["day"] for row in report["beta"] if row["beta"] is not None
+    ]
+
+
+def test_backtest_test_span_without_demand_exits_4(price_csv, load_csv, tmp_path, capsys):
+    loads = load_load_trace(load_csv)
+    values = loads.values.copy()
+    values[21 * 24 :] = 0.0  # nothing to serve after the training span
+    idle_csv = tmp_path / "idle.csv"
+    save_load_trace(load_trace_from_values(values, loads.start), idle_csv)
+    assert run("backtest", "--prices", str(price_csv), "--loads", str(idle_csv),
+               "--train-days", "21", "--variant", "single", "--capacity", "2.0",
+               "--k-max", "2", "--out", str(tmp_path / "o")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: no day has a positive hindsight cost")
 
 
 def test_backtest_report_carries_fit_diagnostics(price_csv, load_csv, tmp_path):

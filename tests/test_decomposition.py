@@ -2,27 +2,29 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
+import oracles
 from gridstash.data_io import load_trace_from_values
 from gridstash.decomposition import (
-    CumulativeDemand,
     DispatchSchedule,
-    OneShotLoad,
-    ShiftedDemand,
-    accumulate,
+    Pieces,
     decompose,
-    pieces_to_csv,
     schedule_from_assignments,
-    shift,
     verify_feasible,
 )
 from gridstash.errors import AssignmentWindowError, LengthMismatchError
 
 
+Piece = namedtuple("Piece", "quantity t_start t_end")
+
+
 def as_tuples(pieces):
-    return [(p.quantity, p.t_start, p.t_end) for p in pieces]
+    columns = (pieces.quantity.tolist(), pieces.t_start.tolist(), pieces.t_end.tolist())
+    return [Piece(*row) for row in zip(*columns)]
 
 
 def test_worked_example_capacity_two():
@@ -56,7 +58,7 @@ def test_zero_capacity_is_identity():
 
 def test_zero_demand_gives_no_pieces():
     load = load_trace_from_values([0.0, 0.0, 0.0])
-    assert decompose(load, 5.0) == ()
+    assert len(decompose(load, 5.0)) == 0
 
 
 def test_huge_capacity_opens_every_window_fully():
@@ -74,7 +76,7 @@ def test_piece_mass_conserved_per_deadline():
         load = load_trace_from_values(demand)
         pieces = decompose(load, capacity)
         by_deadline = {}
-        for p in pieces:
+        for p in as_tuples(pieces):
             by_deadline[p.t_end] = by_deadline.get(p.t_end, 0.0) + p.quantity
         for t in range(n):
             assert by_deadline.get(t, 0.0) == pytest.approx(demand[t], abs=1e-9)
@@ -88,7 +90,7 @@ def test_windows_nested_and_quantities_positive():
         load = load_trace_from_values(demand)
         pieces = decompose(load, float(rng.integers(0, 8)))
         cumulative = np.cumsum(demand)
-        for p in pieces:
+        for p in as_tuples(pieces):
             assert p.quantity > 0
             assert 0 <= p.t_start <= p.t_end < n
             if p.t_start > 0:
@@ -101,7 +103,7 @@ def test_integer_demand_pieces_are_exact():
     load = load_trace_from_values([2.0, 0.0, 3.0, 1.0])
     for capacity in (0.0, 1.0, 2.0, 3.0, 10.0):
         pieces = decompose(load, capacity)
-        total = sum(p.quantity for p in pieces)
+        total = sum(p.quantity for p in as_tuples(pieces))
         assert total == 6.0  # exact float equality on small integers
 
 
@@ -113,40 +115,17 @@ def test_decompose_rejects_bad_capacity():
         decompose(load, float("nan"))
 
 
-def test_cumulative_and_shift_helpers():
-    load = load_trace_from_values([1.0, 0.0, 2.0])
-    cum = accumulate(load)
-    assert list(cum.levels) == [1.0, 1.0, 3.0]
-    assert len(cum) == 3
-    lifted = shift(cum, 2.5)
-    assert list(lifted.levels) == [3.5, 3.5, 5.5]
-    with pytest.raises(ValueError):
-        CumulativeDemand(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        ShiftedDemand(cum, -0.5)
-
-
-def test_one_shot_load_validation():
-    with pytest.raises(ValueError):
-        OneShotLoad(0.0, 0, 1)
-    with pytest.raises(ValueError):
-        OneShotLoad(1.0, 3, 2)
-    with pytest.raises(ValueError):
-        OneShotLoad(1.0, -1, 2)
-    assert OneShotLoad(1.0, 2, 5).window_length == 4
-
-
 def test_schedule_reconstruction_direct_vs_storage():
     load = load_trace_from_values([0, 0, 0, 1, 0, 0, 4])
     pieces = decompose(load, 2.0)
     # buy everything as late as possible: all direct
-    late = schedule_from_assignments(load, pieces, [p.t_end for p in pieces])
+    late = schedule_from_assignments(load, pieces, pieces.t_end)
     assert np.all(late.charge == 0.0)
     assert np.all(late.discharge == 0.0)
     assert late.direct[3] == 1.0 and late.direct[6] == 4.0
     assert verify_feasible(late, load, 2.0)
     # buy everything as early as possible: storage fills to capacity
-    early = schedule_from_assignments(load, pieces, [p.t_start for p in pieces])
+    early = schedule_from_assignments(load, pieces, pieces.t_start)
     assert verify_feasible(early, load, 2.0)
     assert float(early.storage_level().max()) == pytest.approx(2.0)
     assert not verify_feasible(early, load, 1.0)  # same plan, smaller battery
@@ -156,8 +135,8 @@ def test_schedule_cost_depends_on_buy_slots():
     load = load_trace_from_values([0.0, 0.0, 3.0])
     prices = np.array([1.0, 5.0, 9.0])
     pieces = decompose(load, 3.0)
-    cheap = schedule_from_assignments(load, pieces, [p.t_start for p in pieces])
-    dear = schedule_from_assignments(load, pieces, [p.t_end for p in pieces])
+    cheap = schedule_from_assignments(load, pieces, pieces.t_start)
+    dear = schedule_from_assignments(load, pieces, pieces.t_end)
     assert cheap.cost(prices) == pytest.approx(3.0)
     assert dear.cost(prices) == pytest.approx(27.0)
     with pytest.raises(LengthMismatchError):
@@ -215,16 +194,88 @@ def test_storage_level_and_total_purchase():
     assert list(s.total_purchase()) == [4.0, 0.0, 2.0]
 
 
-def test_pieces_csv_round_trips_quantities_exactly(tmp_path):
-    load = load_trace_from_values([0.1, 0.0, 0.30000000000000004])
-    pieces = decompose(load, 0.25)
-    path = tmp_path / "pieces.csv"
-    pieces_to_csv(pieces, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "quantity,t_start,t_end"
-    parsed = [line.split(",") for line in lines[1:]]
-    assert len(parsed) == len(pieces)
-    for row, piece in zip(parsed, pieces):
-        assert float(row[0]) == piece.quantity
-        assert int(row[1]) == piece.t_start
-        assert int(row[2]) == piece.t_end
+def _tie_heavy_instance(rng):
+    """A random (demand, capacity) from one of the classes that stress cut ties."""
+    n = int(rng.integers(1, 60))
+    kind = int(rng.integers(0, 5))
+    if kind == 0:  # integer loads and capacities: many equal levels
+        demand = rng.integers(0, 5, size=n).astype(float)
+        capacity = float(rng.integers(0, 8))
+    elif kind == 1:  # mostly zero-demand slots
+        demand = rng.integers(0, 3, size=n) * (rng.random(n) < 0.3)
+        capacity = float(rng.integers(0, 4))
+    elif kind == 2:  # dust next to whole units
+        demand = rng.integers(0, 3, size=n) + 1e-13 * rng.integers(0, 3, size=n)
+        capacity = float(rng.integers(0, 4)) + 1e-13 * float(rng.integers(0, 2))
+    elif kind == 3:  # capacity 0: every piece is its own slot
+        demand = np.round(rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.7), 3)
+        capacity = 0.0
+    else:  # large magnitudes with non-representable fractions
+        scale = 10.0 ** float(rng.integers(0, 6))
+        demand = rng.uniform(0.0, 1.0, size=n) * scale * (rng.random(n) < 0.8)
+        capacity = float(rng.uniform(0.0, 3.0)) * scale
+    return np.asarray(demand, dtype=float), capacity
+
+
+def test_decompose_matches_reference_on_random_instances():
+    rng = np.random.default_rng(31)
+    for trial in range(600):
+        demand, capacity = _tie_heavy_instance(rng)
+        pieces = decompose(load_trace_from_values(demand), capacity)
+        # exact float equality, piece by piece and in the same order
+        assert as_tuples(pieces) == oracles.reference_decompose(demand, capacity), trial
+        assert pieces.t_start.dtype == np.int64 and pieces.t_end.dtype == np.int64
+
+
+def test_pieces_are_read_only_and_sorted():
+    load = load_trace_from_values([0, 2, 0, 1, 3, 0, 4.0])
+    pieces = decompose(load, 2.5)
+    for arr in (pieces.quantity, pieces.t_start, pieces.t_end):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert np.all(np.diff(pieces.t_start) >= 0)
+    assert np.all(np.diff(pieces.t_end) >= 0)
+    with pytest.raises(LengthMismatchError):
+        Pieces([1.0], [0, 1], [1, 1])
+
+
+def test_assignment_names_first_bad_piece():
+    load = load_trace_from_values([0.0, 2.0, 3.0])
+    pieces = decompose(load, 0.0)  # (2, 1, 1), (3, 2, 2)
+    with pytest.raises(AssignmentWindowError, match=r"buy slot 0 outside window \[1, 1\]"):
+        schedule_from_assignments(load, pieces, [0, 0])
+    with pytest.raises(AssignmentWindowError, match=r"buy slot 1 outside window \[2, 2\]"):
+        schedule_from_assignments(load, pieces, [1, 1])
+    short = load_trace_from_values([0.0, 2.0])
+    with pytest.raises(AssignmentWindowError, match="piece deadline 2 beyond trace of 2 slots"):
+        schedule_from_assignments(short, pieces, [1, 2])
+
+
+def test_assignment_adds_pieces_in_order():
+    # three pieces land on the same slot; the sum is the left-to-right sum
+    pieces = Pieces([0.1, 0.2, 0.3], [0, 0, 0], [2, 2, 2])
+    load = load_trace_from_values([0.0, 0.0, 0.6000000000000001])
+    schedule = schedule_from_assignments(load, pieces, [0, 0, 2])
+    assert schedule.charge[0] == 0.1 + 0.2
+    assert schedule.discharge[2] == 0.1 + 0.2
+    assert schedule.direct[2] == 0.3
+
+
+def test_verify_feasible_reports_earliest_of_two_violating_slots():
+    load = load_trace_from_values([1.0, 1.0, 1.0])
+    # balance breaks at slot 2, the storage overflows at slot 1
+    schedule = DispatchSchedule([1.0, 1.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0])
+    report = verify_feasible(schedule, load, 5.0)
+    assert report.violation == "storage above capacity" and report.slot == 1
+
+
+def test_verify_feasible_orders_checks_within_one_slot():
+    load = load_trace_from_values([1.0, 1.0])
+    # slot 1: negative discharge, broken balance and overflow all at once
+    schedule = DispatchSchedule([1.0, 3.0], [0.0, 9.0], [0.0, -1.0])
+    report = verify_feasible(schedule, load, 5.0)
+    assert report.violation == "negative discharge" and report.slot == 1
+    # slot 0: broken balance and storage below empty at once
+    schedule = DispatchSchedule([0.0, 1.0], [0.0, 1.0], [2.0, 0.0])
+    report = verify_feasible(schedule, load, 5.0)
+    assert report.violation == "balance" and report.slot == 0

@@ -18,12 +18,17 @@ from gridstash.distributions import (
 from gridstash.errors import (
     BoundDomainError,
     InstanceTooLargeError,
+    InsufficientDataError,
     NegativeSupportError,
     NonpositiveOptimumError,
     ZeroBetaSumError,
 )
 from gridstash.evaluation import (
+    BetaPoint,
+    ExperimentReport,
     RegretParams,
+    WindowMinima,
+    beta_summary,
     beta_to_csv,
     brute_force_expected_cost,
     competitive_ratio,
@@ -55,6 +60,22 @@ def test_offline_one_shot_earliest_minimum():
     assert (slot, price) == (1, 1.0)
     with pytest.raises(ValueError):
         offline_one_shot([])
+
+
+def test_window_minima_match_brute_force_slices():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 7, 8, 9, 64, 100):
+        # few distinct values, so minima tie across the two covering halves
+        values = rng.integers(-3, 4, size=n).astype(float)
+        minima = WindowMinima(values)
+        lo, hi = np.triu_indices(n)  # every window, length 1 through n
+        expected = [values[a : b + 1].min() for a, b in zip(lo, hi)]
+        assert minima(lo, hi).tolist() == expected
+        assert minima(np.arange(n), np.arange(n)).tolist() == values.tolist()
+        assert minima([0], [n - 1]).tolist() == [values.min()]
+    assert WindowMinima([5.0, 2.0])([], []).size == 0
+    with pytest.raises(ValueError):
+        WindowMinima([])
 
 
 def test_offline_optimal_general_known_instance():
@@ -321,17 +342,38 @@ def test_daily_attribution_follows_deadline_day():
     assert len(points) == 1 and points[0].day == 1
 
 
-def test_daily_cost_ratios_rejects_nonpositive_offline():
-    values = np.zeros(24)
-    values[5] = -2.0  # negative price at the only deadline
+def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
+    # day 0: negative price at its only deadline; day 1: an ordinary day
+    values = np.full(48, 3.0)
+    values[5] = -2.0
     prices = price_trace_from_values(values)
-    load_values = np.zeros(24)
+    load_values = np.zeros(48)
     load_values[5] = 1.0
+    load_values[30] = 2.0
     load = load_trace_from_values(load_values)
-    with pytest.raises(NonpositiveOptimumError):
-        daily_cost_ratios(
-            prices, load, 0.0, ConstantSource(UniformDistribution(0.1, 1.0))
-        )
+    points, summary = daily_cost_ratios(
+        prices, load, 0.0, ConstantSource(UniformDistribution(0.1, 1.0))
+    )
+    assert [pt.day for pt in points] == [0, 1]
+    assert points[0].beta is None
+    assert points[0].offline_cost == -2.0 and points[0].online_cost == -2.0
+    assert points[1].beta == 1.0
+    assert summary.total_offline == -2.0 + 6.0
+    assert beta_summary(points) == {"beta_mean": 1.0, "beta_max": 1.0, "days_without_beta": 1}
+    report = ExperimentReport(kind="general_serving", seed=0, config={}, beta_points=points)
+    assert [row["beta"] for row in report_to_json_dict(report)["beta"]] == [None, 1.0]
+    path = tmp_path / "beta.csv"
+    beta_to_csv(report, path)
+    assert path.read_text().splitlines() == ["day,beta", "1,1.0"]
+
+
+def test_nothing_to_score_raises_instead_of_nan():
+    with pytest.raises(InsufficientDataError, match="1 days with costs, none with a beta"):
+        beta_summary([BetaPoint(day=0, online_cost=0.0, offline_cost=-1.0, beta=None)])
+    # a serving study whose every price is negative has no day to score
+    load = load_trace_from_values(np.tile([0.0, 1.0, 2.0], 16))
+    with pytest.raises(InsufficientDataError, match="no day has a positive hindsight cost"):
+        general_serving_study(UniformDistribution(-9.0, -1.0), load, 1.0, seed=2)
 
 
 def test_general_serving_study_reproducible():

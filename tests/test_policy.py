@@ -259,3 +259,17 @@ def test_expected_cost_below_single_slot_mean():
     for dist in (U01, THREE_ATOM):
         for horizon in (2, 5, 10):
             assert expected_policy_cost_iid(dist, horizon) < dist.mean() + 1e-15
+
+
+def test_records_hold_python_numbers(tmp_path):
+    # decisions.csv writes repr(): a numpy scalar would print as np.float64(...)
+    prices = price_trace_from_values([0.9, 0.2, 0.7, 0.6, 0.1, 0.5])
+    load = load_trace_from_values([0.0, 1.0, 0.5, 2.0, 0.0, 0.25])
+    result = run_policy(prices, load, 1.5, ConstantSource(U01))
+    for rec in result.records:
+        assert type(rec.quantity) is float and type(rec.price) is float
+        assert type(rec.t_start) is int and type(rec.t_end) is int
+        assert type(rec.buy_slot) is int
+    path = tmp_path / "decisions.csv"
+    decisions_to_csv(result, path)
+    assert "np." not in path.read_text()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import oracles
 from gridstash.data_io import load_trace_from_values, price_trace_from_values
 from gridstash.distributions import UniformDistribution
 from gridstash.sizing import (
@@ -14,6 +17,7 @@ from gridstash.sizing import (
     min_cost_curve,
     optimal_capacity,
 )
+from gridstash.synth import synth_load, synth_prices
 
 
 def test_worked_example_curve():
@@ -102,3 +106,33 @@ def test_curve_csv_layout(tmp_path):
     assert lines[1].split(",") == ["0.0", "19.0", "9.0"]
     assert lines[2].split(",") == ["1.0", "10.0", "8.0"]
     assert lines[3].split(",") == ["2.0", "2.0", ""]  # last row has no segment
+
+
+def _reference_cost(price_values, demand, capacity) -> float:
+    return math.fsum(
+        quantity * float(price_values[t_start : t_end + 1].min())
+        for quantity, t_start, t_end in oracles.reference_decompose(demand, capacity)
+    )
+
+
+def test_curve_equals_reference_pieces_with_slice_minima():
+    hours = 24 * 14
+    prices = synth_prices(hours, 5)
+    load = synth_load(hours, 6)
+    grid = np.linspace(0.0, 30.0, 7)
+    curve = min_cost_curve(prices, load, grid)
+    expected = tuple(_reference_cost(prices.values, load.values, float(b)) for b in grid)
+    assert curve.costs == expected  # exact, not approximate
+
+
+def test_expected_curve_equals_reference_scenario_average():
+    load = load_trace_from_values(np.tile([0.0, 2.0, 1.0, 0.0, 3.0, 0.5], 8))
+    dist = UniformDistribution(-2.0, 25.0)
+    grid = [0.0, 1.5, 4.0]
+    curve = expected_min_cost_curve(dist, load, grid, n_scenarios=5, seed=9)
+    rng = np.random.default_rng(np.random.SeedSequence([9]))
+    totals = np.zeros(len(grid))
+    for _ in range(5):
+        values = dist.sample(len(load), rng)
+        totals += [_reference_cost(values, load.values, b) for b in grid]
+    assert curve.costs == tuple(float(c) for c in totals / 5)
