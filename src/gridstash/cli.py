@@ -232,12 +232,7 @@ def cmd_backtest(args) -> int:
     _write_json(out / "report.json", doc, args.reproducible)
     save_estimator(estimator, out / "estimator.json")
     decisions_to_csv(summary.result, out / "decisions.csv")
-    with open(out / "beta.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("day", "beta"))
-        for pt in points:
-            if pt.beta is not None:
-                writer.writerow((pt.day, repr(pt.beta)))
+    beta_to_csv(points, out / "beta.csv")
     print(
         f"backtest: {len(points)} days, mean beta {scored['beta_mean']:.4f}, "
         f"online {summary.total_online:.2f} vs offline {summary.total_offline:.2f} -> {out}"
@@ -271,7 +266,7 @@ def cmd_montecarlo(args) -> int:
         else:
             capacity = _resolve_capacity(args, config, load)
         report = general_serving_study(dist, load, capacity, seed)
-        beta_to_csv(report, out / "beta.csv")
+        beta_to_csv(report.beta_points, out / "beta.csv")
     else:
         raise ValueError(f"unknown mode {mode!r}")
     _write_json(out / "report.json", report_to_json_dict(report), args.reproducible)

@@ -3,8 +3,9 @@
 Every distribution exposes the handful of functionals the policy recursion
 and the regret machinery need: mean, cdf/pdf, truncated first moment, the
 expected minimum of two independent draws, and seeded sampling. Mixtures
-delegate to the fitting module; uniform/point/discrete laws carry closed
-forms so oracle tests never depend on quadrature.
+delegate to the fitting module; uniform/point/discrete laws and mixtures all
+carry closed forms, so only the base-class expected minimum integrates
+numerically (and loads scipy when called).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import gmm
 
@@ -49,6 +49,8 @@ class PriceDistribution(abc.ABC):
 
     def expected_min_of_two(self) -> float:
         """E[min(X1, X2)] for two independent copies; default uses quadrature."""
+        from scipy import integrate
+
         lo, hi = self.support_bounds()
         val, _ = integrate.quad(
             lambda p: p * self.pdf(p) * (1.0 - self.cdf(p)), lo, hi, limit=200
@@ -211,13 +213,4 @@ class GmmDistribution(PriceDistribution):
         return (lo, hi)
 
     def expected_min_of_two(self) -> float:
-        lo, hi = self.support_bounds()
-        interior = [float(m) for m in self.model.means if lo < m < hi]
-        val, _ = integrate.quad(
-            lambda p: p * gmm.pdf(self.model, p) * (1.0 - gmm.cdf(self.model, p)),
-            lo,
-            hi,
-            points=interior,
-            limit=200,
-        )
-        return 2.0 * val
+        return gmm.expected_min_of_two(self.model)

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import Pieces, decompose
@@ -146,6 +145,8 @@ def _density_infimum(dist: PriceDistribution, theta: float) -> float:
     lo_edge = grid[max(at - 1, 0)]
     hi_edge = grid[min(at + 1, grid.size - 1)]
     if hi_edge > lo_edge:
+        from scipy import optimize
+
         result = optimize.minimize_scalar(
             lambda p: float(dist.pdf(p)), bounds=(lo_edge, hi_edge), method="bounded"
         )
@@ -531,10 +532,11 @@ def gamma_to_csv(report: ExperimentReport, path) -> None:
             )
 
 
-def beta_to_csv(report: ExperimentReport, path) -> None:
+def beta_to_csv(points: Sequence[BetaPoint], path) -> None:
+    """Write the days that have a ratio as (day, beta) rows."""
     with open(Path(path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(("day", "beta"))
-        for pt in report.beta_points:
+        for pt in points:
             if pt.beta is not None:
                 writer.writerow((pt.day, repr(pt.beta)))

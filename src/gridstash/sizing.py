@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_io import LoadTrace, PriceTrace
+from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import decompose
 from .distributions import PriceDistribution
-from .evaluation import WindowMinima, offline_cost, offline_optimal_general
+from .evaluation import WindowMinima, offline_cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +83,14 @@ class SizingResult:
 def min_cost_curve(
     prices: PriceTrace, load: LoadTrace, capacities: Sequence[float]
 ) -> SizingCurve:
-    """Hindsight-optimal cost at each capacity for one realized trace pair."""
-    costs = [offline_optimal_general(prices, load, float(b)) for b in capacities]
+    """Hindsight-optimal cost at each capacity for one realized trace pair.
+
+    Each capacity's cost is offline_optimal_general's; the prices are the same
+    at every capacity, so one window-minimum table serves the whole grid.
+    """
+    ensure_aligned(prices, load)
+    minima = WindowMinima(prices.values)
+    costs = [offline_cost(minima, decompose(load, float(b))) for b in capacities]
     return SizingCurve(tuple(float(b) for b in capacities), tuple(costs))
 
 

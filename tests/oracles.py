@@ -7,6 +7,8 @@ The decomposition reference walks each deadline's level interval cut by cut,
 one piece at a time, as the package's whole-array sweep must reproduce.
 The EM reference is the plain one-fit-at-a-time loop with scipy's logsumexp;
 it shares only the seeded initialisation with the package's batched core.
+The mixture CDF and truncated first moment are the vectorised expressions over
+scipy's ``ndtr`` that the package's scalar normal CDF must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +16,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError
-from gridstash.gmm import EmConfig, FitReport, _initial_params, bic, make_model, n_free_params
+from gridstash.gmm import (
+    EmConfig,
+    FitReport,
+    GmmModel,
+    _initial_params,
+    bic,
+    make_model,
+    n_free_params,
+)
 from gridstash.policy import ThresholdSchedule, simulate_one_shot_matrix
 
 
@@ -173,3 +183,20 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
         n_samples=n,
         ll_trace=tuple(trace),
     )
+
+
+def reference_cdf(model: GmmModel, p) -> np.ndarray:
+    """Mixture CDF at every element of p, with scipy's ndtr."""
+    z = (np.asarray(p, dtype=float)[..., None] - model.means) / model.stds
+    return np.sum(model.weights * ndtr(z), axis=-1)
+
+
+def reference_partial_expectation(model: GmmModel, a: float, b: float) -> float:
+    """E[X * 1{a < X <= b}] for the mixture, with scipy's ndtr."""
+    za = (a - model.means) / model.stds
+    zb = (b - model.means) / model.stds
+    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
+    phi_a = inv_sqrt_2pi * np.exp(-0.5 * za * za)
+    phi_b = inv_sqrt_2pi * np.exp(-0.5 * zb * zb)
+    terms = model.weights * (model.means * (ndtr(zb) - ndtr(za)) + model.stds * (phi_a - phi_b))
+    return float(terms.sum())

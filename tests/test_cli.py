@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,35 @@ def load_csv(tmp_path):
     assert run("synth", "--kind", "load", "--hours", str(24 * 28), "--seed", "2",
                "--out", str(path)) == 0
     return path
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+import gridstash.cli as cli
+out = Path(sys.argv[1])
+for kind, seed in (("price", "1"), ("load", "2")):
+    assert cli.main(["synth", "--kind", kind, "--hours", "336", "--seed", seed,
+                     "--out", str(out / f"{kind}.csv")]) == 0
+traces = ["--prices", str(out / "price.csv"), "--loads", str(out / "load.csv")]
+assert cli.main(["backtest", *traces, "--variant", "hourly", "--train-days", "7",
+                 "--capacity-fraction", "0.5", "--k-max", "2", "--out", str(out / "bt")]) == 0
+assert cli.main(["size", *traces, "--grid-points", "3", "--amortized-price", "2000",
+                 "--out", str(out / "size")]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_backtest_and_size_load_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded by the oracles
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_synth_writes_parseable_traces(price_csv, load_csv):

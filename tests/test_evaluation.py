@@ -363,7 +363,7 @@ def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
     report = ExperimentReport(kind="general_serving", seed=0, config={}, beta_points=points)
     assert [row["beta"] for row in report_to_json_dict(report)["beta"]] == [None, 1.0]
     path = tmp_path / "beta.csv"
-    beta_to_csv(report, path)
+    beta_to_csv(report.beta_points, path)
     assert path.read_text().splitlines() == ["day,beta", "1,1.0"]
 
 
@@ -414,7 +414,7 @@ def test_report_json_and_csv_round_trip(tmp_path):
         UniformDistribution(5.0, 9.0), load, 1.0, seed=3
     )
     bpath = tmp_path / "beta.csv"
-    beta_to_csv(beta_report, bpath)
+    beta_to_csv(beta_report.beta_points, bpath)
     blines = bpath.read_text().strip().splitlines()
     assert blines[0] == "day,beta"
     assert len(blines) == 1 + len(beta_report.beta_points)

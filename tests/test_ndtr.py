@@ -1,0 +1,105 @@
+"""The scalar normal CDF and the closed forms built on it.
+
+``gmm._ndtr`` is a port of cephes ``ndtr``; it must equal scipy's ``ndtr``
+bit for bit, so mixtures evaluate the same without loading scipy.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import ndtr
+
+from gridstash import gmm
+from gridstash.distributions import GmmDistribution, PriceDistribution
+
+from oracles import reference_cdf, reference_partial_expectation
+
+# |a| = 1: erf vs erfc; sqrt(2): erfc via 1 - erf vs P/Q; 8 sqrt(2): P/Q vs R/S;
+# about 37.7: exp(-a^2 / 2) would pass MAXLOG, the tail is exactly 0
+_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 37.7, 38.0, 38.5)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_bit_identical(points) -> None:
+    points = np.asarray(points, dtype=float)
+    mine = np.array([gmm._ndtr(v) for v in points.tolist()])
+    theirs = ndtr(points)
+    same = _bits(mine) == _bits(theirs)
+    bad = np.flatnonzero(~same)[:5]
+    assert same.all(), f"{(~same).sum()} of {points.size} differ, e.g. at {points[bad]}"
+
+
+def test_ndtr_bit_identical_on_a_seeded_dense_grid():
+    rng = np.random.default_rng(20)
+    _assert_bit_identical(
+        np.concatenate(
+            (
+                np.linspace(-40.0, 40.0, 40_001),
+                rng.normal(0.0, 3.0, 20_000),
+                rng.uniform(-40.0, 40.0, 20_000),
+            )
+        )
+    )
+
+
+def test_ndtr_bit_identical_on_both_sides_of_every_branch_edge():
+    points = []
+    for edge in _EDGES:
+        for v in (edge, -edge):
+            below = above = v
+            for _ in range(4):
+                below = np.nextafter(below, -np.inf)
+                above = np.nextafter(above, np.inf)
+                points += [below, above]
+            points.append(v)
+    _assert_bit_identical(points)
+
+
+def test_ndtr_bit_identical_in_the_underflow_tail():
+    points = np.concatenate((np.linspace(-38.5, -37.0, 3001), -np.logspace(1.5, 300, 200)))
+    _assert_bit_identical(points)
+    assert gmm._ndtr(-38.5) == 0.0 and gmm._ndtr(38.5) == 1.0
+
+
+def test_ndtr_special_values():
+    _assert_bit_identical([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+    assert gmm._ndtr(math.inf) == 1.0 and gmm._ndtr(-math.inf) == 0.0
+    assert gmm._ndtr(0.0) == 0.5 and gmm._ndtr(-0.0) == 0.5
+    assert math.isnan(gmm._ndtr(math.nan))
+
+
+def _seeded_models(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        weights = rng.dirichlet(np.ones(k))
+        means = rng.uniform(-20.0, 80.0, k)
+        stds = rng.uniform(0.2, 15.0, k)
+        yield gmm.make_model(weights, means, stds)
+
+
+def test_cdf_and_partial_expectation_equal_the_scipy_expressions():
+    rng = np.random.default_rng(21)
+    for model in _seeded_models(40, seed=22):
+        p = rng.uniform(-60.0, 140.0, 50)
+        assert np.array_equal(gmm.cdf(model, p), reference_cdf(model, p))
+        for v in (*p[:10].tolist(), -math.inf, math.inf):
+            assert gmm.cdf(model, v) == reference_cdf(model, v)
+        ends = np.sort(rng.uniform(-60.0, 140.0, (10, 2)), axis=1).tolist()
+        ends += [[-math.inf, 30.0], [30.0, math.inf], [-math.inf, math.inf]]
+        for a, b in ends:
+            assert gmm.partial_expectation(model, a, b) == reference_partial_expectation(model, a, b)
+
+
+def test_expected_min_of_two_closed_form_matches_quadrature():
+    for model in _seeded_models(30, seed=23):
+        dist = GmmDistribution(model)
+        closed = dist.expected_min_of_two()
+        assert closed == pytest.approx(PriceDistribution.expected_min_of_two(dist), rel=0, abs=1e-8)
+        assert closed <= dist.mean()
