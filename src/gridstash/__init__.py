@@ -37,7 +37,6 @@ from .evaluation import (
     daily_cost_ratios,
     enumerate_offline_expected_min,
     general_serving_study,
-    monte_carlo_study,
     offline_one_shot,
     offline_optimal_general,
     one_shot_regret_study,
@@ -53,7 +52,6 @@ from .heuristics import (
     PriceEstimator,
     Variant,
     detect_periods,
-    distribution_for_slot,
     fit_estimator,
 )
 from .policy import (
@@ -65,7 +63,6 @@ from .policy import (
     compute_thresholds_timevarying,
     expected_policy_cost_iid,
     run_policy,
-    serve_one_shot,
 )
 from .sizing import SizingCurve, SizingResult, min_cost_curve, optimal_capacity
 from .synth import synth_load, synth_prices

@@ -120,7 +120,9 @@ def decompose(load: LoadTrace, capacity: float) -> Pieces:
         raise ValueError(f"capacity must be finite and >= 0, got {capacity!r}")
     cumulative = np.cumsum(load.values)
     shifted = cumulative + capacity
-    cuts = np.unique(
+    # sorted, not deduplicated: a repeated cut leaves a zero-width gap, which
+    # the dust filter below drops (np.unique would import numpy.ma)
+    cuts = np.sort(
         np.concatenate(([0.0], cumulative[cumulative > 0], shifted[shifted < cumulative[-1]]))
     )
     lower = cuts[:-1]

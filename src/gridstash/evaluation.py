@@ -396,17 +396,13 @@ def daily_cost_ratios(
     ratio: its ``beta`` is None.
     """
     result = run_policy(prices, load, capacity, source)
-    records = result.records
-    quantity = np.fromiter((r.quantity for r in records), float, len(records))
-    paid = np.fromiter((r.price for r in records), float, len(records))
-    t_start = np.fromiter((r.t_start for r in records), np.int64, len(records))
-    t_end = np.fromiter((r.t_end for r in records), np.int64, len(records))
-    minima = WindowMinima(prices.values)(t_start, t_end)
+    rec = result.records
+    minima = WindowMinima(prices.values)(rec.t_start, rec.t_end)
     n_days = (load.start.hour + len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
-    days = (load.start.hour + t_end) // HOURS_PER_DAY
+    days = (load.start.hour + rec.t_end) // HOURS_PER_DAY
     # bincount adds in piece order, the same sums as a per-piece loop
-    online = np.bincount(days, weights=quantity * paid, minlength=n_days)
-    offline = np.bincount(days, weights=quantity * minima, minlength=n_days)
+    online = np.bincount(days, weights=rec.quantity * rec.price, minlength=n_days)
+    offline = np.bincount(days, weights=rec.quantity * minima, minlength=n_days)
     points = []
     for day in range(n_days):
         if online[day] == 0.0 and offline[day] == 0.0:
@@ -470,15 +466,6 @@ def general_serving_study(
             "total_offline": summary.total_offline,
         },
     )
-
-
-def monte_carlo_study(kind: str, **kwargs) -> ExperimentReport:
-    """Dispatch to the one-shot regret or general serving study by name."""
-    if kind == "one-shot":
-        return one_shot_regret_study(**kwargs)
-    if kind == "general":
-        return general_serving_study(**kwargs)
-    raise ValueError(f"unknown study kind {kind!r}")
 
 
 def report_to_json_dict(report: ExperimentReport) -> dict:

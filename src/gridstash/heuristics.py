@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +73,6 @@ def detect_periods(prices: PriceTrace, quantile: float | None = None) -> PeriodL
     return PeriodLabeling(peak=peak, offpeak=frozenset(range(HOURS_PER_DAY)) - peak)
 
 
-def hourly_mean_prices(prices: PriceTrace) -> np.ndarray:
-    """Mean price per hour-of-day, shape (24,)."""
-    hours = prices.hours_of_day()
-    counts = np.bincount(hours, minlength=HOURS_PER_DAY)
-    if np.any(counts == 0):
-        raise InsufficientDataError("some hours of day have no samples")
-    return np.bincount(hours, weights=prices.values, minlength=HOURS_PER_DAY) / counts
-
-
 @dataclass(frozen=True)
 class PriceEstimator:
     """A fitted estimator: hour-of-day -> mixture, plus how it was built.
@@ -121,11 +111,6 @@ class PriceEstimator:
 
     def distribution_for_hour(self, hour: int) -> GmmDistribution:
         return self._dists[self.hour_index[hour % HOURS_PER_DAY]]
-
-
-def distribution_for_slot(estimator: PriceEstimator, when: datetime) -> GmmDistribution:
-    """The price law governing the slot that starts at ``when``."""
-    return estimator.distribution_for_hour(when.hour)
 
 
 def _component_cap(n_samples: int, max_components: int) -> int:

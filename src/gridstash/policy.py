@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import (
@@ -110,45 +111,14 @@ def expected_policy_cost_iid(dist: PriceDistribution, horizon: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class OneShotResult:
-    """Where one job bought: offset inside its window, price paid, the
-    threshold that triggered, and whether the deadline forced it."""
-
-    buy_offset: int
-    price: float
-    threshold: float
-    forced: bool
-
-
-def serve_one_shot(
-    schedule: ThresholdSchedule, window_prices: Sequence[float] | np.ndarray
-) -> OneShotResult:
-    """Run the policy over one window: buy at the first price at or below its
-    threshold (ties buy); the final sentinel guarantees termination."""
-    prices = np.asarray(window_prices, dtype=float)
-    if prices.size != schedule.horizon:
-        raise LengthMismatchError(
-            f"{prices.size} prices vs horizon {schedule.horizon}"
-        )
-    for j, threshold in enumerate(schedule.thresholds):
-        if prices[j] <= threshold:
-            return OneShotResult(
-                buy_offset=j,
-                price=float(prices[j]),
-                threshold=threshold,
-                forced=(j == schedule.horizon - 1),
-            )
-    raise AssertionError("unreachable: sentinel threshold always triggers")
-
-
 def simulate_one_shot_matrix(
     price_matrix: np.ndarray, schedule: ThresholdSchedule
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized serve over many windows at once.
 
     price_matrix has one window per row; returns (price paid, buy offset)
-    per row. Used by the Monte-Carlo studies and the exhaustive oracles.
+    per row: the first slot whose price is at or below its threshold (ties
+    buy; the final sentinel forces a buy at the deadline).
     """
     prices = np.asarray(price_matrix, dtype=float)
     if prices.ndim != 2 or prices.shape[1] != schedule.horizon:
@@ -161,28 +131,17 @@ def simulate_one_shot_matrix(
     return paid, offsets
 
 
-@dataclass(frozen=True)
-class PieceRecord:
-    """One job's outcome inside a full-trace run."""
-
-    piece_id: int
-    quantity: float
-    t_start: int
-    t_end: int
-    buy_slot: int
-    price: float
-    threshold: float
-    forced: bool
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """A full-trace policy run: dispatch, per-piece records, and costs."""
+    """A full-trace policy run: the dispatch, one record per piece, and the cost.
+
+    ``records`` is a read-only record array in piece order with the fields
+    quantity, t_start, t_end, buy_slot, price, threshold and forced.
+    """
 
     schedule: DispatchSchedule
-    records: tuple[PieceRecord, ...]
+    records: np.recarray
     total_cost: float
-    per_slot_cost: np.ndarray
 
 
 def run_policy(
@@ -193,77 +152,71 @@ def run_policy(
 ) -> SimulationResult:
     """Serve a whole demand trace with the threshold policy.
 
-    Decomposes the load under the given capacity, computes one threshold
-    schedule per distinct (start hour-of-day, window length) pair, serves
-    every piece independently, and reassembles a feasible dispatch.
+    Decomposes the load under the given capacity and groups the pieces by
+    (start hour-of-day, window length). Each group shares one threshold
+    schedule, computed from the laws of the hours its window covers, and is
+    served as one matrix of price windows. The buy slots are reassembled into
+    a dispatch that must pass the feasibility check.
     """
     ensure_aligned(prices, load)
     pieces = decompose(load, capacity)
-    cache: dict[tuple[int, int], ThresholdSchedule] = {}
-    records = []
-    buy_slots = []
-    # plain Python numbers, so records print and serialize as floats and ints
-    columns = (pieces.quantity.tolist(), pieces.t_start.tolist(), pieces.t_end.tolist())
-    for piece_id, (quantity, t_start, t_end) in enumerate(zip(*columns)):
-        length = t_end - t_start + 1
-        key = (prices.hour_of_day(t_start), length)
-        schedule = cache.get(key)
-        if schedule is None:
-            dists = [
-                source.distribution_for_hour(prices.hour_of_day(t_start + j))
-                for j in range(length)
-            ]
-            schedule = compute_thresholds_timevarying(dists)
-            cache[key] = schedule
-        window = prices.values[t_start : t_end + 1]
-        outcome = serve_one_shot(schedule, window)
-        buy_slot = t_start + outcome.buy_offset
-        buy_slots.append(buy_slot)
-        records.append(
-            PieceRecord(
-                piece_id=piece_id,
-                quantity=quantity,
-                t_start=t_start,
-                t_end=t_end,
-                buy_slot=buy_slot,
-                price=outcome.price,
-                threshold=outcome.threshold,
-                forced=outcome.forced,
-            )
+    t_start, t_end = pieces.t_start, pieces.t_end
+    lengths = t_end - t_start + 1
+    slot_hours = prices.hours_of_day()
+    start_hours = slot_hours[t_start]
+    order = np.lexsort((lengths, start_hours))
+    new_group = (np.diff(start_hours[order], prepend=-1) != 0) | (
+        np.diff(lengths[order], prepend=0) != 0
+    )
+    bounds = np.append(np.flatnonzero(new_group), len(pieces)).tolist()
+    offsets = np.empty(len(pieces), dtype=np.int64)
+    paid = np.empty(len(pieces))
+    threshold = np.empty(len(pieces))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = order[lo:hi]
+        first, length = int(t_start[group[0]]), int(lengths[group[0]])
+        schedule = compute_thresholds_timevarying(
+            [source.distribution_for_hour(h) for h in slot_hours[first : first + length].tolist()]
         )
-    dispatch = schedule_from_assignments(load, pieces, buy_slots)
+        windows = sliding_window_view(prices.values, length)[t_start[group]]
+        paid[group], offsets[group] = simulate_one_shot_matrix(windows, schedule)
+        threshold[group] = schedule.as_array()[offsets[group]]
+    buy_slot = t_start + offsets
+    dispatch = schedule_from_assignments(load, pieces, buy_slot)
     report = verify_feasible(dispatch, load, capacity)
     if not report.ok:
         raise InfeasibleDispatchError(
             f"policy produced an infeasible dispatch: {report.violation} at slot {report.slot}"
         )
-    total = math.fsum(r.quantity * r.price for r in records)
-    per_slot = dispatch.total_purchase() * prices.values
+    records = np.rec.fromarrays(
+        (pieces.quantity, t_start, t_end, buy_slot, paid, threshold, buy_slot == t_end),
+        names=("quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced"),
+    )
+    records.setflags(write=False)
     return SimulationResult(
         schedule=dispatch,
-        records=tuple(records),
-        total_cost=total,
-        per_slot_cost=per_slot,
+        records=records,
+        total_cost=math.fsum((pieces.quantity * paid).tolist()),
     )
 
 
 def decisions_to_csv(result: SimulationResult, path) -> None:
-    """Per-piece decision log; thresholds serialize as repr so 'inf' survives."""
+    """Per-piece decision log; floats serialize as repr so 'inf' survives."""
+    rec = result.records
+    # .tolist() gives Python numbers, whose repr has no numpy type wrapper
+    rows = zip(
+        range(len(rec)),
+        map(repr, rec.quantity.tolist()),
+        rec.t_start.tolist(),
+        rec.t_end.tolist(),
+        rec.buy_slot.tolist(),
+        map(repr, rec.price.tolist()),
+        map(repr, rec.threshold.tolist()),
+        rec.forced.astype(int).tolist(),
+    )
     with open(Path(path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ("piece_id", "quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced")
         )
-        for r in result.records:
-            writer.writerow(
-                (
-                    r.piece_id,
-                    repr(r.quantity),
-                    r.t_start,
-                    r.t_end,
-                    r.buy_slot,
-                    repr(r.price),
-                    repr(r.threshold),
-                    int(r.forced),
-                )
-            )
+        writer.writerows(rows)

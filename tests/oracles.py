@@ -3,6 +3,8 @@
 Deliberately dumb and exhaustive: a storage-lattice dynamic program over
 integer instances, and full price-path enumeration for expected policy cost.
 Neither shares code with the package's decomposition or recursion paths.
+The serve reference runs the policy one piece and one slot at a time; it
+shares only the threshold recursion with the package's grouped array serve.
 The decomposition reference walks each deadline's level interval cut by cut,
 one piece at a time, as the package's whole-array sweep must reproduce.
 The EM reference is the plain one-fit-at-a-time loop with scipy's logsumexp;
@@ -18,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from gridstash.errors import DegenerateFitError, InsufficientSamplesError
+from gridstash.errors import DegenerateFitError, InsufficientSamplesError, LengthMismatchError
 from gridstash.gmm import (
     EmConfig,
     FitReport,
@@ -28,7 +30,11 @@ from gridstash.gmm import (
     make_model,
     n_free_params,
 )
-from gridstash.policy import ThresholdSchedule, simulate_one_shot_matrix
+from gridstash.policy import (
+    ThresholdSchedule,
+    compute_thresholds_timevarying,
+    simulate_one_shot_matrix,
+)
 
 
 def dp_storage_optimum(prices, demands, capacity: int) -> float:
@@ -112,6 +118,42 @@ def enumerate_offline_expected_min(values, probs, horizon: int) -> float:
     idx, paths = all_price_paths(values, horizon)
     weights = probs[idx].prod(axis=1)
     return float(np.dot(paths.min(axis=1), weights))
+
+
+def serve_one_shot(schedule: ThresholdSchedule, window_prices) -> tuple[int, float, float, bool]:
+    """(buy offset, price, threshold, forced) of one window, slot by slot:
+    the first price at or below its threshold buys (ties buy); the final
+    sentinel forces the deadline."""
+    prices = np.asarray(window_prices, dtype=float)
+    if prices.size != schedule.horizon:
+        raise LengthMismatchError(f"{prices.size} prices vs horizon {schedule.horizon}")
+    for j, threshold in enumerate(schedule.thresholds):
+        if prices[j] <= threshold:
+            return j, float(prices[j]), threshold, j == schedule.horizon - 1
+    raise AssertionError("unreachable: sentinel threshold always triggers")
+
+
+def reference_run_policy(prices, load, capacity: float, source):
+    """Per-piece serve of a whole trace: rows of (quantity, t_start, t_end,
+    buy_slot, price, threshold, forced) in piece order, and the fsum cost.
+
+    One schedule per (start hour-of-day, window length), built from the laws
+    of the hours slot by slot, and one scalar serve per piece.
+    """
+    cache = {}
+    rows = []
+    for quantity, t_start, t_end in reference_decompose(load.values, capacity):
+        length = t_end - t_start + 1
+        key = (prices.hour_of_day(t_start), length)
+        if key not in cache:
+            cache[key] = compute_thresholds_timevarying(
+                [source.distribution_for_hour(prices.hour_of_day(t_start + j)) for j in range(length)]
+            )
+        offset, price, threshold, forced = serve_one_shot(
+            cache[key], prices.values[t_start : t_end + 1]
+        )
+        rows.append((quantity, t_start, t_end, t_start + offset, price, threshold, forced))
+    return rows, math.fsum(r[0] * r[4] for r in rows)
 
 
 def _reference_log_comp(x: np.ndarray, weights, means, stds) -> np.ndarray:

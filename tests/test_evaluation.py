@@ -36,7 +36,6 @@ from gridstash.evaluation import (
     enumerate_offline_expected_min,
     gamma_to_csv,
     general_serving_study,
-    monte_carlo_study,
     offline_one_shot,
     offline_optimal_general,
     one_shot_regret_study,
@@ -385,13 +384,6 @@ def test_general_serving_study_reproducible():
     assert a.kind == "general_serving"
     assert all(pt.beta >= 1.0 - 1e-12 for pt in a.beta_points)
     assert a.summary["beta_mean"] >= 1.0 - 1e-12
-
-
-def test_monte_carlo_dispatcher():
-    report = monte_carlo_study("one-shot", dist=U01, horizons=[2], n_runs=100, seed=0)
-    assert report.kind == "one_shot_regret"
-    with pytest.raises(ValueError):
-        monte_carlo_study("nope")
 
 
 def test_report_json_and_csv_round_trip(tmp_path):

@@ -15,11 +15,9 @@ from gridstash.heuristics import (
     PriceEstimator,
     Variant,
     detect_periods,
-    distribution_for_slot,
     estimator_from_json_dict,
     estimator_to_json_dict,
     fit_estimator,
-    hourly_mean_prices,
     load_estimator,
     save_estimator,
 )
@@ -106,16 +104,6 @@ def test_detect_periods_matches_pure_python_recomputation():
         assert labeling.peak == expected
 
 
-def test_hourly_mean_prices_values_and_coverage():
-    trace = evening_peak_day()
-    means = hourly_mean_prices(trace)
-    assert means.shape == (24,)
-    assert means[18] == pytest.approx(10.0)
-    assert means[2] == pytest.approx(1.0)
-    with pytest.raises(InsufficientDataError):
-        hourly_mean_prices(price_trace_from_values(np.ones(20)))
-
-
 def test_period_labeling_must_partition():
     with pytest.raises(ValueError):
         PeriodLabeling(frozenset({1}), frozenset(range(24)))  # overlap
@@ -193,14 +181,6 @@ def test_component_cap_scales_with_samples():
     trace = price_trace_from_values(rng.uniform(20.0, 30.0, size=30))
     est = fit_estimator(trace, "single", max_components=8)
     assert est.models[0].n_components <= 3
-
-
-def test_distribution_for_slot_uses_wall_clock():
-    trace = synth_prices(24 * 10, seed=5, peak_model=shift_model(DEFAULT_PRICE_MODEL, 40.0))
-    est = fit_estimator(trace, "peak-offpeak", max_components=3)
-    peak_hour = next(iter(est.labeling.peak))
-    when = datetime(2024, 5, 5, peak_hour)
-    assert distribution_for_slot(est, when) is est.distribution_for_hour(peak_hour)
 
 
 def test_estimator_json_round_trip(tmp_path):

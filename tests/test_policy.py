@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from datetime import datetime
 
@@ -25,7 +26,6 @@ from gridstash.policy import (
     decisions_to_csv,
     expected_policy_cost_iid,
     run_policy,
-    serve_one_shot,
     simulate_one_shot_matrix,
 )
 from gridstash.synth import synth_load, synth_prices
@@ -59,8 +59,9 @@ def test_three_atom_thresholds():
 def test_horizon_one_is_forced_buy_only():
     sched = compute_thresholds_iid(U01, 1)
     assert sched.thresholds == (math.inf,)
-    outcome = serve_one_shot(sched, [0.97])
-    assert outcome.buy_offset == 0 and outcome.forced
+    paid, offsets = simulate_one_shot_matrix([[0.97]], sched)
+    # offset 0 is the last slot, so the buy is forced
+    assert offsets.tolist() == [0] and paid.tolist() == [0.97]
 
 
 def test_thresholds_monotone_nondecreasing():
@@ -121,18 +122,17 @@ def test_threshold_schedule_validation():
 
 def test_serve_one_shot_buy_rules():
     sched = ThresholdSchedule((0.5, 0.75, math.inf))
-    # tie buys
-    outcome = serve_one_shot(sched, [0.5, 0.1, 0.1])
-    assert outcome.buy_offset == 0 and not outcome.forced
-    assert outcome.price == 0.5 and outcome.threshold == 0.5
-    # waits past high prices, forced at the deadline
-    outcome = serve_one_shot(sched, [0.9, 0.9, 0.9])
-    assert outcome.buy_offset == 2 and outcome.forced and outcome.price == 0.9
-    # buys the first qualifying slot, not the cheapest
-    outcome = serve_one_shot(sched, [0.6, 0.7, 0.01])
-    assert outcome.buy_offset == 1
+    windows = [
+        [0.5, 0.1, 0.1],  # tie buys
+        [0.9, 0.9, 0.9],  # waits past high prices, forced at the deadline
+        [0.6, 0.7, 0.01],  # buys the first qualifying slot, not the cheapest
+    ]
+    paid, offsets = simulate_one_shot_matrix(windows, sched)
+    assert offsets.tolist() == [0, 2, 1]
+    assert paid.tolist() == [0.5, 0.9, 0.7]
+    assert sched.as_array()[offsets].tolist() == [0.5, math.inf, 0.75]
     with pytest.raises(LengthMismatchError):
-        serve_one_shot(sched, [0.1, 0.2])
+        simulate_one_shot_matrix([[0.1, 0.2]], sched)
 
 
 def test_matrix_simulation_matches_scalar_serve():
@@ -141,9 +141,9 @@ def test_matrix_simulation_matches_scalar_serve():
     matrix = rng.uniform(0.0, 1.0, size=(400, 5))
     paid, offsets = simulate_one_shot_matrix(matrix, sched)
     for i in range(400):
-        outcome = serve_one_shot(sched, matrix[i])
-        assert outcome.buy_offset == offsets[i]
-        assert outcome.price == paid[i]
+        offset, price, _, _ = oracles.serve_one_shot(sched, matrix[i])
+        assert offset == offsets[i]
+        assert price == paid[i]
     with pytest.raises(LengthMismatchError):
         simulate_one_shot_matrix(matrix[:, :3], sched)
 
@@ -151,8 +151,8 @@ def test_matrix_simulation_matches_scalar_serve():
 def test_point_mass_prices_buy_immediately():
     sched = compute_thresholds_iid(PointMass(4.0), 6)
     # threshold equals the price itself, so the first slot always triggers
-    outcome = serve_one_shot(sched, [4.0] * 6)
-    assert outcome.buy_offset == 0
+    _, offsets = simulate_one_shot_matrix([[4.0] * 6], sched)
+    assert offsets.tolist() == [0]
 
 
 def test_run_policy_zero_capacity_buys_everything_at_deadline():
@@ -175,9 +175,6 @@ def test_run_policy_dispatch_is_feasible_and_costs_agree():
         capacity = float(rng.uniform(0.0, 5.0))
         result = run_policy(prices, load, capacity, ConstantSource(U01))
         assert verify_feasible(result.schedule, load, capacity)
-        assert result.total_cost == pytest.approx(
-            float(result.per_slot_cost.sum()), abs=1e-9
-        )
         assert result.total_cost == pytest.approx(
             result.schedule.cost(prices.values), abs=1e-9
         )
@@ -228,6 +225,35 @@ def test_run_policy_uses_hour_of_day_distributions():
     assert result.total_cost == pytest.approx(0.15)
 
 
+def test_run_policy_matches_per_piece_reference():
+    class HourSource:
+        # a different law for every hour of day
+        def distribution_for_hour(self, hour: int):
+            return UniformDistribution(0.5 * hour, 0.5 * hour + 10.0)
+
+    rng = np.random.default_rng(21)
+    crossed_midnight, longest = 0, 0
+    for trial in range(36):
+        n = int(rng.integers(24, 24 * 5))
+        start = datetime(2021, 3, 1, int(rng.integers(0, 24)))
+        prices = price_trace_from_values(rng.uniform(0.0, 22.0, size=n), start=start)
+        demand = np.round(rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.5), 2)
+        if trial % 12 == 0:
+            demand[:] = 0.0
+        load = load_trace_from_values(demand, start=start)
+        # no storage, a few hours of storage, and storage for the whole demand
+        capacity = (0.0, float(rng.uniform(0.5, 4.0)), float(demand.sum()))[trial % 3]
+        source = HourSource() if trial % 2 else ConstantSource(UniformDistribution(0.0, 22.0))
+        rows, total = oracles.reference_run_policy(prices, load, capacity, source)
+        result = run_policy(prices, load, capacity, source)
+        assert result.records.tolist() == rows, trial
+        assert result.total_cost == total, trial
+        rec = result.records
+        crossed_midnight += int(np.sum((start.hour + rec.t_start) // 24 != (start.hour + rec.t_end) // 24))
+        longest = max(longest, int(np.max(rec.t_end - rec.t_start + 1, initial=0)))
+    assert crossed_midnight > 0 and longest > 24
+
+
 def test_run_policy_rejects_misaligned_traces():
     from gridstash.errors import AlignmentError
 
@@ -266,10 +292,16 @@ def test_records_hold_python_numbers(tmp_path):
     prices = price_trace_from_values([0.9, 0.2, 0.7, 0.6, 0.1, 0.5])
     load = load_trace_from_values([0.0, 1.0, 0.5, 2.0, 0.0, 0.25])
     result = run_policy(prices, load, 1.5, ConstantSource(U01))
-    for rec in result.records:
-        assert type(rec.quantity) is float and type(rec.price) is float
-        assert type(rec.t_start) is int and type(rec.t_end) is int
-        assert type(rec.buy_slot) is int
     path = tmp_path / "decisions.csv"
     decisions_to_csv(result, path)
-    assert "np." not in path.read_text()
+    text = path.read_text()
+    assert "np." not in text
+    rows = list(csv.reader(text.splitlines()))[1:]
+    rec = result.records
+    assert len(rows) == len(rec) > 0
+    assert [int(r[0]) for r in rows] == list(range(len(rec)))
+    for col, name, parse in (
+        (1, "quantity", float), (2, "t_start", int), (3, "t_end", int), (4, "buy_slot", int),
+        (5, "price", float), (6, "threshold", float), (7, "forced", int),
+    ):
+        assert [parse(r[col]) for r in rows] == rec[name].tolist(), name
