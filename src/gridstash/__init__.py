@@ -33,16 +33,12 @@ from .evaluation import (
     RegretParams,
     WindowMinima,
     brute_force_expected_cost,
-    competitive_ratio,
     daily_cost_ratios,
     enumerate_offline_expected_min,
     general_serving_study,
-    offline_one_shot,
     offline_optimal_general,
     one_shot_regret_study,
-    regret,
     regret_params,
-    regret_ratio,
     shape_bound,
     uniform_bound,
 )

@@ -61,10 +61,6 @@ class HourlyTrace:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def hour_of_day(self, t: int) -> int:
-        """Hour-of-day (0..23) of slot ``t``."""
-        return (self.start.hour + t) % HOURS_PER_DAY
-
     def hours_of_day(self) -> np.ndarray:
         """Hour-of-day of every slot, shape (n,)."""
         return (self.start.hour + np.arange(len(self))) % HOURS_PER_DAY

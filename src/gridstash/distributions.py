@@ -3,9 +3,8 @@
 Every distribution exposes the handful of functionals the policy recursion
 and the regret machinery need: mean, cdf/pdf, truncated first moment, the
 expected minimum of two independent draws, and seeded sampling. Mixtures
-delegate to the fitting module; uniform/point/discrete laws and mixtures all
-carry closed forms, so only the base-class expected minimum integrates
-numerically (and loads scipy when called).
+delegate to the fitting module; uniform, discrete (and point-mass) laws and
+mixtures each carry closed forms, so nothing here integrates numerically.
 """
 
 from __future__ import annotations
@@ -40,22 +39,12 @@ class PriceDistribution(abc.ABC):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def support_bounds(self) -> tuple[float, float]:
-        """A finite interval carrying essentially all mass (for scans/quadrature)."""
+    def expected_min_of_two(self) -> float:
+        """E[min(X1, X2)] for two independent copies."""
 
     def prob_below(self, p: float) -> float:
         """P(X < p); equals the cdf except at atoms."""
         return float(self.cdf(p))
-
-    def expected_min_of_two(self) -> float:
-        """E[min(X1, X2)] for two independent copies; default uses quadrature."""
-        from scipy import integrate
-
-        lo, hi = self.support_bounds()
-        val, _ = integrate.quad(
-            lambda p: p * self.pdf(p) * (1.0 - self.cdf(p)), lo, hi, limit=200
-        )
-        return 2.0 * val
 
 
 @dataclass(frozen=True)
@@ -93,9 +82,6 @@ class UniformDistribution(PriceDistribution):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
-
-    def support_bounds(self) -> tuple[float, float]:
-        return (self.low, self.high)
 
     def expected_min_of_two(self) -> float:
         return self.low + (self.high - self.low) / 3.0
@@ -162,9 +148,6 @@ class DiscreteDistribution(PriceDistribution):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.values, size=n, p=self.probs)
 
-    def support_bounds(self) -> tuple[float, float]:
-        return (float(self.values[0]), float(self.values[-1]))
-
     def expected_min_of_two(self) -> float:
         # P(min = v_k) = P(X >= v_k)^2 - P(X >= v_{k+1})^2
         survival = 1.0 - self._cum[:-1]
@@ -206,11 +189,6 @@ class GmmDistribution(PriceDistribution):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return gmm.sample_with_rng(self.model, n, rng)
-
-    def support_bounds(self) -> tuple[float, float]:
-        lo = float(np.min(self.model.means - 12.0 * self.model.stds))
-        hi = float(np.max(self.model.means + 12.0 * self.model.stds))
-        return (lo, hi)
 
     def expected_min_of_two(self) -> float:
         return gmm.expected_min_of_two(self.model)

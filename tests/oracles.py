@@ -11,6 +11,9 @@ The EM reference is the plain one-fit-at-a-time loop with scipy's logsumexp;
 it shares only the seeded initialisation with the package's batched core.
 The mixture CDF and truncated first moment are the vectorised expressions over
 scipy's ``ndtr`` that the package's scalar normal CDF must reproduce exactly.
+The expected minimum of two draws integrates p * pdf * survival with scipy's
+quadrature; the density infimum refines the grid minimum with scipy's bounded
+scalar search, where the package zooms with finer numpy grids.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate, optimize
 from scipy.special import logsumexp, ndtr
 
+from gridstash.distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError, LengthMismatchError
 from gridstash.gmm import (
     EmConfig,
@@ -144,10 +149,10 @@ def reference_run_policy(prices, load, capacity: float, source):
     rows = []
     for quantity, t_start, t_end in reference_decompose(load.values, capacity):
         length = t_end - t_start + 1
-        key = (prices.hour_of_day(t_start), length)
+        key = ((prices.start.hour + t_start) % 24, length)
         if key not in cache:
             cache[key] = compute_thresholds_timevarying(
-                [source.distribution_for_hour(prices.hour_of_day(t_start + j)) for j in range(length)]
+                [source.distribution_for_hour((key[0] + j) % 24) for j in range(length)]
             )
         offset, price, threshold, forced = serve_one_shot(
             cache[key], prices.values[t_start : t_end + 1]
@@ -242,3 +247,35 @@ def reference_partial_expectation(model: GmmModel, a: float, b: float) -> float:
     phi_b = inv_sqrt_2pi * np.exp(-0.5 * zb * zb)
     terms = model.weights * (model.means * (ndtr(zb) - ndtr(za)) + model.stds * (phi_a - phi_b))
     return float(terms.sum())
+
+
+def reference_expected_min_of_two(dist: PriceDistribution, lo: float, hi: float) -> float:
+    """E[min(X1, X2)] = 2 * integral of p * pdf(p) * (1 - cdf(p)) over [lo, hi],
+    by adaptive quadrature; [lo, hi] must carry essentially all the mass."""
+    val, _ = integrate.quad(lambda p: p * dist.pdf(p) * (1.0 - dist.cdf(p)), lo, hi, limit=200)
+    return 2.0 * val
+
+
+def reference_density_infimum(dist: PriceDistribution, theta: float) -> float:
+    """Smallest density on [0, theta]: a 1025-point grid plus the interior
+    mixture means, then a bounded scalar search over the two cells beside the
+    grid minimum."""
+    hi = max(float(theta), 0.0)
+    if isinstance(dist, DiscreteDistribution):
+        return dist.min_atom_mass_in(0.0, hi)
+    grid = np.linspace(0.0, hi, 1025)
+    if isinstance(dist, GmmDistribution):
+        interior = dist.model.means[(dist.model.means > 0.0) & (dist.model.means < hi)]
+        grid = np.unique(np.concatenate((grid, interior)))
+    dens = np.asarray(dist.pdf(grid), dtype=float)
+    at = int(np.argmin(dens))
+    best = float(dens[at])
+    lo_edge = grid[max(at - 1, 0)]
+    hi_edge = grid[min(at + 1, grid.size - 1)]
+    if hi_edge > lo_edge:
+        result = optimize.minimize_scalar(
+            lambda p: float(dist.pdf(p)), bounds=(lo_edge, hi_edge), method="bounded"
+        )
+        if result.success:
+            best = min(best, float(result.fun))
+    return max(best, 0.0)

@@ -25,6 +25,7 @@ from gridstash.data_io import (
 from gridstash.decomposition import FeasibilityReport
 from gridstash.errors import DegenerateFitError
 from gridstash.gmm import load_model
+from gridstash.synth import DEFAULT_PRICE_MODEL
 
 
 def run(*argv) -> int:
@@ -50,22 +51,27 @@ def load_csv(tmp_path):
 _NO_SCIPY_SCRIPT = """
 import sys
 from pathlib import Path
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import gridstash.cli as cli
 out = Path(sys.argv[1])
-for kind, seed in (("price", "1"), ("load", "2")):
-    assert cli.main(["synth", "--kind", kind, "--hours", "336", "--seed", seed,
-                     "--out", str(out / f"{kind}.csv")]) == 0
 traces = ["--prices", str(out / "price.csv"), "--loads", str(out / "load.csv")]
-assert cli.main(["backtest", *traces, "--variant", "hourly", "--train-days", "7",
-                 "--capacity-fraction", "0.5", "--k-max", "2", "--out", str(out / "bt")]) == 0
-assert cli.main(["size", *traces, "--grid-points", "3", "--amortized-price", "2000",
-                 "--out", str(out / "size")]) == 0
-print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
+commands = [
+    ["synth", "--kind", "price", "--hours", "336", "--seed", "1", "--out", str(out / "price.csv")],
+    ["synth", "--kind", "load", "--hours", "336", "--seed", "2", "--out", str(out / "load.csv")],
+    ["fit", "--prices", str(out / "price.csv"), "--k-max", "2", "--out", str(out / "fit")],
+    ["backtest", *traces, "--variant", "hourly", "--train-days", "7",
+     "--capacity-fraction", "0.5", "--k-max", "2", "--out", str(out / "bt")],
+    ["size", *traces, "--grid-points", "3", "--amortized-price", "2000", "--out", str(out / "size")],
+    ["montecarlo", "--horizons", "2,4", "--runs", "200", "--bound", "--out", str(out / "mc")],
+    ["montecarlo", "--mode", "general", "--days", "3", "--out", str(out / "mcg")],
+]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
 """
 
 
-def test_import_backtest_and_size_load_no_scipy(tmp_path):
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     # a fresh interpreter: this test process has scipy loaded by the oracles.
     # numpy.ma is checked too: np.unique imports it lazily, ~15 ms per process
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -327,6 +333,18 @@ def test_montecarlo_one_shot(tmp_path):
     lines = (out / "gamma.csv").read_text().strip().splitlines()
     assert lines[0] == "T,gamma_mean,gamma_ci_lo,gamma_ci_hi"
     assert len(lines) == 3
+
+
+def test_montecarlo_bound_on_builtin_model_is_vacuous(tmp_path):
+    # the built-in mixture has almost no density near 0, so 2 / sum(betas) is
+    # ~1e14: far above the mean price, which already caps the regret
+    out = tmp_path / "mc"
+    assert run("montecarlo", "--bound", "--runs", "200", "--seed", "3", "--out", str(out),
+               "--reproducible") == 0
+    rows = json.loads((out / "report.json").read_text())["gamma"]
+    assert [row["T"] for row in rows] == [2, 4, 8, 16, 32]
+    assert all(row["bound"] >= DEFAULT_PRICE_MODEL.mean() for row in rows)
+    assert all(row["bound_vacuous"] is True for row in rows)
 
 
 def test_montecarlo_general(tmp_path):

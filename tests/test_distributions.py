@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gridstash.distributions import (
     DiscreteDistribution,
     GmmDistribution,
     PointMass,
-    PriceDistribution,
     UniformDistribution,
 )
 from gridstash.gmm import make_model
@@ -25,7 +25,6 @@ def test_uniform_basics():
     assert u.cdf(3.0) == pytest.approx(0.25)
     assert u.pdf(4.0) == pytest.approx(0.25)
     assert u.pdf(1.0) == 0.0
-    assert u.support_bounds() == (2.0, 6.0)
     with pytest.raises(ValueError):
         UniformDistribution(3.0, 3.0)
 
@@ -47,9 +46,9 @@ def test_uniform_expected_min_of_two_closed_form_vs_quadrature():
     assert u.expected_min_of_two() == pytest.approx(1.0 / 3.0, abs=1e-12)
     v = UniformDistribution(5.0, 11.0)
     assert v.expected_min_of_two() == pytest.approx(7.0, abs=1e-12)
-    # closed form agrees with the generic quadrature default
-    generic = PriceDistribution.expected_min_of_two(v)
-    assert v.expected_min_of_two() == pytest.approx(generic, abs=1e-9)
+    # closed form agrees with quadrature over the support
+    quadrature = oracles.reference_expected_min_of_two(v, 5.0, 11.0)
+    assert v.expected_min_of_two() == pytest.approx(quadrature, abs=1e-9)
 
 
 def test_uniform_expected_min_monte_carlo():
@@ -141,7 +140,6 @@ def test_point_mass():
     assert p.cdf(7.5) == 1.0
     assert p.prob_below(7.5) == 0.0
     assert p.expected_min_of_two() == 7.5
-    assert p.support_bounds() == (7.5, 7.5)
     assert np.all(p.sample(10, np.random.default_rng(0)) == 7.5)
 
 
@@ -152,8 +150,6 @@ def test_gmm_distribution_delegates_consistently():
     assert g.cdf(20.0) == pytest.approx(
         0.4 * _norm_cdf(20.0, 10.0, 2.0) + 0.6 * _norm_cdf(20.0, 30.0, 5.0), abs=1e-12
     )
-    lo, hi = g.support_bounds()
-    assert lo < 10.0 - 20.0 and hi > 30.0 + 50.0
     assert g.partial_expectation(-math.inf, math.inf) == pytest.approx(g.mean(), abs=1e-9)
 
 

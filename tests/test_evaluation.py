@@ -20,7 +20,6 @@ from gridstash.errors import (
     InstanceTooLargeError,
     InsufficientDataError,
     NegativeSupportError,
-    NonpositiveOptimumError,
     ZeroBetaSumError,
 )
 from gridstash.evaluation import (
@@ -28,37 +27,28 @@ from gridstash.evaluation import (
     ExperimentReport,
     RegretParams,
     WindowMinima,
+    _density_infimum,
     beta_summary,
     beta_to_csv,
     brute_force_expected_cost,
-    competitive_ratio,
     daily_cost_ratios,
     enumerate_offline_expected_min,
     gamma_to_csv,
     general_serving_study,
-    offline_one_shot,
     offline_optimal_general,
     one_shot_regret_study,
-    regret,
     regret_params,
-    regret_ratio,
     report_to_json_dict,
     shape_bound,
     uniform_bound,
 )
 from gridstash.gmm import make_model
 from gridstash.policy import ConstantSource, compute_thresholds_iid
+from gridstash.synth import DEFAULT_PRICE_MODEL
 
 U01 = UniformDistribution(0.0, 1.0)
 COIN = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
 THREE_ATOM = DiscreteDistribution([0.0, 1.0, 3.0], [0.3, 0.4, 0.3])
-
-
-def test_offline_one_shot_earliest_minimum():
-    slot, price = offline_one_shot([3.0, 1.0, 1.0, 2.0])
-    assert (slot, price) == (1, 1.0)
-    with pytest.raises(ValueError):
-        offline_one_shot([])
 
 
 def test_window_minima_match_brute_force_slices():
@@ -102,16 +92,6 @@ def test_offline_optimal_matches_storage_dp_on_integer_instances():
         assert ours == pytest.approx(dp, abs=1e-9)
 
 
-def test_ratio_helpers():
-    assert regret(5.0, 3.0) == 2.0
-    assert regret_ratio(5.0, 4.0) == pytest.approx(0.25)
-    assert competitive_ratio(5.0, 4.0) == pytest.approx(1.25)
-    with pytest.raises(NonpositiveOptimumError):
-        regret_ratio(5.0, 0.0)
-    with pytest.raises(NonpositiveOptimumError):
-        competitive_ratio(5.0, -1.0)
-
-
 def test_regret_params_uniform_three_slots():
     schedule = compute_thresholds_iid(U01, 3)
     params = regret_params(U01, schedule)
@@ -119,6 +99,37 @@ def test_regret_params_uniform_three_slots():
     assert params.alpha == pytest.approx(1.0 / 3.0, abs=1e-9)
     # uniform density is 1 everywhere on [0, theta]
     assert params.betas == pytest.approx((1.0, 1.0))
+
+
+def test_density_infimum_matches_bounded_search_on_mixture_valleys():
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 40:
+        m1, s1, s2 = rng.uniform(5.0, 20.0), rng.uniform(1.0, 4.0), rng.uniform(1.0, 6.0)
+        m2 = m1 + rng.uniform(4.0, 10.0) * max(s1, s2)
+        w = rng.uniform(0.2, 0.8)
+        dist = GmmDistribution(make_model((w, 1.0 - w), (m1, m2), (s1, s2)))
+        theta = m2 + rng.uniform(0.0, 2.0) * s2
+        dense = dist.pdf(np.linspace(0.0, theta, 20_001))
+        if np.argmin(dense) in (0, dense.size - 1):
+            continue  # keep only minima strictly inside [0, theta]
+        checked += 1
+        ours = _density_infimum(dist, theta)
+        reference = oracles.reference_density_infimum(dist, theta)
+        assert ours == pytest.approx(reference, rel=1e-9, abs=0)
+
+
+def test_density_infimum_equals_bounded_search_on_model_thresholds():
+    cases = (
+        (GmmDistribution(DEFAULT_PRICE_MODEL), (2, 4, 8, 16, 32)),
+        (U01, (3, 5, 8, 12)),
+    )
+    for dist, horizons in cases:
+        thetas = [-1.0, 0.0]
+        for horizon in horizons:
+            thetas += compute_thresholds_iid(dist, horizon).thresholds[:-1]
+        for theta in thetas:
+            assert _density_infimum(dist, theta) == oracles.reference_density_infimum(dist, theta)
 
 
 def test_regret_params_discrete_atom_infimum():
@@ -268,10 +279,11 @@ def test_one_shot_regret_study_structure_and_determinism():
 
 def test_one_shot_regret_study_bound_dominates_estimate():
     report = one_shot_regret_study(U01, [3, 5], 20_000, seed=2, include_bound=True)
-    for pt in report.gamma_points:
-        assert pt.bound is not None
-        assert not pt.bound_vacuous
-        assert pt.regret_ucl95 <= pt.bound
+    t3, t5 = report.gamma_points
+    # 5/6 at T = 3 is above the mean price 1/2, which already caps the regret
+    assert t3.bound == pytest.approx(5.0 / 6.0) and t3.bound_vacuous
+    assert 0.0 < t5.bound < U01.mean() and not t5.bound_vacuous
+    assert t5.regret_ucl95 <= t5.bound
 
 
 def test_one_shot_regret_study_validation():

@@ -13,9 +13,9 @@ import pytest
 from scipy.special import ndtr
 
 from gridstash import gmm
-from gridstash.distributions import GmmDistribution, PriceDistribution
+from gridstash.distributions import GmmDistribution
 
-from oracles import reference_cdf, reference_partial_expectation
+from oracles import reference_cdf, reference_expected_min_of_two, reference_partial_expectation
 
 # |a| = 1: erf vs erfc; sqrt(2): erfc via 1 - erf vs P/Q; 8 sqrt(2): P/Q vs R/S;
 # about 37.7: exp(-a^2 / 2) would pass MAXLOG, the tail is exactly 0
@@ -101,5 +101,7 @@ def test_expected_min_of_two_closed_form_matches_quadrature():
     for model in _seeded_models(30, seed=23):
         dist = GmmDistribution(model)
         closed = dist.expected_min_of_two()
-        assert closed == pytest.approx(PriceDistribution.expected_min_of_two(dist), rel=0, abs=1e-8)
+        lo = float(np.min(model.means - 12.0 * model.stds))
+        hi = float(np.max(model.means + 12.0 * model.stds))
+        assert closed == pytest.approx(reference_expected_min_of_two(dist, lo, hi), rel=0, abs=1e-8)
         assert closed <= dist.mean()

@@ -125,4 +125,4 @@ def test_start_carries_through():
     p = synth_prices(30, seed=0, start=start)
     l = synth_load(30, seed=0, start=start)
     assert p.start == start and l.start == start
-    assert p.hour_of_day(0) == 5
+    assert p.hours_of_day()[0] == 5
