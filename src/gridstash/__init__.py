@@ -42,7 +42,7 @@ from .evaluation import (
     shape_bound,
     uniform_bound,
 )
-from .gmm import EmConfig, FitReport, GmmComponent, GmmModel, em_fit, select_model
+from .gmm import EmConfig, FitReport, GmmModel, em_fit, select_model
 from .heuristics import (
     PeriodLabeling,
     PriceEstimator,

@@ -148,15 +148,15 @@ def cmd_fit(args) -> int:
     prices = load_price_trace(_resolve(args, config, "prices", required=True))
     k_max = int(_resolve(args, config, "k_max", 8))
     out = _out_dir(args, config)
-    candidates = gmm.fit_candidates(prices.values, k_max, _em_config(args, config))
-    best = gmm.best_fit(row.report for row in candidates)
+    (sel,) = gmm.select_models([prices.values], [k_max], [_em_config(args, config)])
+    best = sel.best
     gmm.save_model(best.model, out / "model.json")
     with open(out / "bic.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ("K", "n_params", "log_likelihood", "bic", "iterations", "converged", "error", "selected")
         )
-        for row in candidates:
+        for row in sel.candidates:
             if row.report is None:
                 writer.writerow((row.n_components, "", "", "", "", "", row.error, 0))
             else:

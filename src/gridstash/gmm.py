@@ -7,8 +7,8 @@ The normal CDF is a scalar port of cephes ``ndtr`` (the routine behind
 ``scipy.special.ndtr``, bit for bit), so fitting and evaluating a mixture
 loads no scipy module. One EM core fits many equal-size sample
 groups ("lanes") with the same component count at once: ``em_fit`` is its
-one-lane case, and ``select_models`` runs the BIC sweep of many groups
-through it together.
+one-lane case, and ``select_models`` is the one BIC sweep over the component
+count, for one sample group or many.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ _SQRT_HALF = math.sqrt(0.5)
 
 # A component whose total responsibility falls below this is starved.
 _RESP_EPS = 1e-12
+
+# Each component's std is floored at this fraction of its sample's std, or at
+# an absolute 1e-9 when the sample is constant.
+_SIGMA_FLOOR = 1e-6
 
 # cephes ndtr.c: erf on |x| < 1 is x T(x^2) / U(x^2); erfc is exp(-x^2) P(x) / Q(x)
 # below 8 and exp(-x^2) R(x) / S(x) above. Q, S and U carry the leading 1 that
@@ -94,54 +98,39 @@ def _ndtr_each(z: np.ndarray) -> np.ndarray:
     return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
-@dataclass(frozen=True)
-class GmmComponent:
-    weight: float
-    mean: float
-    std: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.weight) and math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ValueError("component parameters must be finite")
-        if not -1e-12 <= self.weight <= 1.0 + 1e-12:
-            raise ValueError(f"component weight {self.weight} outside [0, 1]")
-        if self.std <= 0:
-            raise ValueError(f"component std {self.std} must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class GmmModel:
-    """An immutable mixture; components are kept sorted by mean."""
+    """An immutable mixture: three read-only parameter arrays, sorted by mean,
+    then std, then weight."""
 
-    components: tuple[GmmComponent, ...]
+    weights: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.components:
+        w, m, s = (np.asarray(a, dtype=float) for a in (self.weights, self.means, self.stds))
+        if w.ndim != 1 or not w.shape == m.shape == s.shape:
+            raise ValueError("weights, means, stds must have equal length")
+        if w.size == 0:
             raise ValueError("mixture needs at least one component")
-        comps = tuple(sorted(self.components, key=lambda c: (c.mean, c.std, c.weight)))
-        total = math.fsum(c.weight for c in comps)
+        if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(s).all()):
+            raise ValueError("component parameters must be finite")
+        if not np.all((w >= -1e-12) & (w <= 1.0 + 1e-12)):
+            raise ValueError(f"component weights {w.tolist()} outside [0, 1]")
+        if not np.all(s > 0):
+            raise ValueError(f"component stds {s.tolist()} must be positive")
+        total = math.fsum(w)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_weights", np.array([c.weight for c in comps]))
-        object.__setattr__(self, "_means", np.array([c.mean for c in comps]))
-        object.__setattr__(self, "_stds", np.array([c.std for c in comps]))
+        order = np.lexsort((w, s, m))
+        for name, values in (("weights", w), ("means", m), ("stds", s)):
+            values = values[order]
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def means(self) -> np.ndarray:
-        return self._means
-
-    @property
-    def stds(self) -> np.ndarray:
-        return self._stds
+        return self.weights.size
 
     def mean(self) -> float:
         return float(np.dot(self.weights, self.means))
@@ -150,38 +139,29 @@ class GmmModel:
         second_moment = float(np.dot(self.weights, self.stds**2 + self.means**2))
         return second_moment - self.mean() ** 2
 
+    def _key(self) -> tuple:
+        return tuple(tuple(a.tolist()) for a in (self.weights, self.means, self.stds))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GmmModel):
             return NotImplemented
-        return self.components == other.components
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return hash(self._key())
 
 
 def make_model(weights, means, stds) -> GmmModel:
     """Build a model from parallel parameter sequences."""
-    if not len(weights) == len(means) == len(stds):
-        raise ValueError("weights, means, stds must have equal length")
-    return GmmModel(
-        tuple(
-            GmmComponent(float(w), float(m), float(s))
-            for w, m, s in zip(weights, means, stds)
-        )
-    )
+    return GmmModel(weights, means, stds)
 
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Knobs for one EM run.
-
-    sigma_floor is relative to the sample standard deviation; it becomes an
-    absolute 1e-9 when the sample is constant.
-    """
+    """Knobs for one EM run."""
 
     tol: float = 1e-6
     max_iter: int = 500
-    sigma_floor: float = 1e-6
     init_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -189,13 +169,12 @@ class EmConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
-    """Outcome of one EM fit; ll_trace holds the log-likelihood after each pass."""
+    """Outcome of one EM fit; ll_trace is a read-only array of the
+    log-likelihood after each pass."""
 
     model: GmmModel
     log_likelihood: float
@@ -203,7 +182,7 @@ class FitReport:
     iterations: int
     converged: bool
     n_samples: int
-    ll_trace: tuple[float, ...]
+    ll_trace: np.ndarray
 
 
 def bic(log_likelihood: float, n_samples: int, n_params: int) -> float:
@@ -339,7 +318,7 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
     stds = np.empty((lanes, k))
     floors = np.empty(lanes)
     for g, config in enumerate(configs):
-        floor = config.sigma_floor * float(x[g].std())
+        floor = _SIGMA_FLOOR * float(x[g].std())
         floors[g] = floor if floor > 0 else 1e-9
         rng = np.random.default_rng(config.init_seed)
         weights[g], means[g], stds[g] = _initial_params(x[g], k, rng, floors[g])
@@ -358,6 +337,8 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
 
     def report(i: int, log_lik: float, passes: int, converged: bool) -> FitReport:
         # lane i of the current active set, before the set shrinks
+        ll_trace = trace[live[i], : passes + 1].copy()
+        ll_trace.setflags(write=False)
         return FitReport(
             model=make_model(weights[i], means[i], stds[i]),
             log_likelihood=log_lik,
@@ -365,7 +346,7 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
             iterations=passes,
             converged=converged,
             n_samples=n,
-            ll_trace=tuple(trace[live[i], : passes + 1].tolist()),
+            ll_trace=ll_trace,
         )
 
     passes = 0
@@ -465,50 +446,21 @@ class CandidateFit:
 
 def fit_candidates(samples, max_components: int, config: EmConfig = EmConfig()) -> list[CandidateFit]:
     """Fit every K in 1..max_components, capturing per-K failures."""
-    if max_components < 1:
-        raise ValueError(f"max_components must be >= 1, got {max_components}")
-    rows: list[CandidateFit] = []
-    last_error: Exception | None = None
-    for k in range(1, max_components + 1):
-        try:
-            report = em_fit(samples, k, derive_config(config, k))
-        except (DegenerateFitError, InsufficientSamplesError) as exc:
-            rows.append(CandidateFit(k, None, str(exc)))
-            last_error = exc
-            continue
-        rows.append(CandidateFit(k, report, None))
-    if all(row.report is None for row in rows):
-        assert last_error is not None
-        raise last_error
-    return rows
-
-
-def best_fit(reports) -> FitReport:
-    """The report with the lowest BIC, skipping None; ties go to the earlier one.
-
-    Given in order of K, ties therefore go to fewer components.
-    """
-    best: FitReport | None = None
-    for report in reports:
-        if report is not None and (best is None or report.bic < best.bic):
-            best = report
-    if best is None:
-        raise ValueError("no candidate fit succeeded")
-    return best
+    return list(select_models([samples], [max_components], [config])[0].candidates)
 
 
 def select_model(samples, max_components: int, config: EmConfig = EmConfig()) -> FitReport:
     """Pick the candidate with the lowest BIC; ties go to fewer components."""
-    return best_fit(row.report for row in fit_candidates(samples, max_components, config))
+    return select_models([samples], [max_components], [config])[0].best
 
 
 @dataclass(frozen=True)
 class Selection:
-    """The BIC pick for one sample group, and how the other candidates ended."""
+    """Every candidate of one group's BIC sweep, in K order, and the pick: the
+    lowest BIC, ties going to fewer components."""
 
+    candidates: tuple[CandidateFit, ...]
     best: FitReport
-    errors: tuple[tuple[int, str], ...]  # (K, message) of each candidate that raised
-    capped: tuple[int, ...]  # K of each candidate that stopped at max_iter
 
     def diagnostics(self) -> dict:
         """Deterministic facts about the sweep, safe for reproducible outputs."""
@@ -516,23 +468,26 @@ class Selection:
             "selected_components": self.best.model.n_components,
             "iterations": self.best.iterations,
             "converged": self.best.converged,
-            "failed_components": [k for k, _ in self.errors],
-            "capped_components": list(self.capped),
+            "failed_components": [c.n_components for c in self.candidates if c.report is None],
+            "capped_components": [
+                c.n_components
+                for c in self.candidates
+                if c.report is not None and not c.report.converged
+            ],
         }
 
 
 def select_models(groups, max_components, configs) -> list[Selection]:
-    """select_model over many sample groups, each with its own cap and config.
+    """The BIC sweep over many sample groups, each with its own cap and config.
 
-    Picks and raised errors are those of select_model on each group alone.
-    Groups sharing a sample count and a cap are fitted together: each K runs
-    once for the bucket, with one EM lane per group. Only each group's best
-    report so far is kept, so memory does not grow with the candidates.
+    Group i fits every K in 1..max_components[i] with derive_config(configs[i],
+    K); a K that fails is kept as a row with its error, and a group whose every
+    K fails re-raises its last error. Groups sharing a sample count and a cap
+    are fitted together: each K runs once for the bucket, with one EM lane per
+    group.
     """
     xs = [_finite_samples(g) for g in groups]
-    best: list[FitReport | None] = [None] * len(xs)
-    errors: list[list[tuple[int, str]]] = [[] for _ in xs]
-    capped: list[list[int]] = [[] for _ in xs]
+    rows: list[list[CandidateFit]] = [[] for _ in xs]
     last_error: list[Exception | None] = [None] * len(xs)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (x, cap) in enumerate(zip(xs, max_components)):
@@ -549,16 +504,18 @@ def select_models(groups, max_components, configs) -> list[Selection]:
                 lane_results = _em_lanes(stacked, k, [derive_config(configs[i], k) for i in members])
             for i, result in zip(members, lane_results):
                 if isinstance(result, FitReport):
-                    if not result.converged:
-                        capped[i].append(k)
-                    best[i] = best_fit((best[i], result))
+                    rows[i].append(CandidateFit(k, result, None))
                 else:
-                    errors[i].append((k, str(result)))
+                    rows[i].append(CandidateFit(k, None, str(result)))
                     last_error[i] = result
-    for i in range(len(xs)):
-        if best[i] is None:
-            raise last_error[i]
-    return [Selection(b, tuple(e), tuple(c)) for b, e, c in zip(best, errors, capped)]
+    selections = []
+    for group_rows, error in zip(rows, last_error):
+        fits = [row.report for row in group_rows if row.report is not None]
+        if not fits:
+            raise error
+        # min keeps the first of equal BICs, and the rows are in K order
+        selections.append(Selection(tuple(group_rows), min(fits, key=lambda r: r.bic)))
+    return selections
 
 
 def pdf(model: GmmModel, p) -> float | np.ndarray:
@@ -626,7 +583,8 @@ def sample_with_rng(model: GmmModel, n: int, rng: np.random.Generator) -> np.nda
 def model_to_json_dict(model: GmmModel) -> dict:
     return {
         "components": [
-            {"weight": c.weight, "mean": c.mean, "std": c.std} for c in model.components
+            {"weight": w, "mean": m, "std": s}
+            for w, m, s in zip(model.weights.tolist(), model.means.tolist(), model.stds.tolist())
         ]
     }
 
@@ -634,9 +592,7 @@ def model_to_json_dict(model: GmmModel) -> dict:
 def model_from_json_dict(doc: dict) -> GmmModel:
     try:
         comps = doc["components"]
-        return GmmModel(
-            tuple(GmmComponent(float(c["weight"]), float(c["mean"]), float(c["std"])) for c in comps)
-        )
+        return GmmModel(*([float(c[key]) for c in comps] for key in ("weight", "mean", "std")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed mixture document: {exc}") from None
 

@@ -16,11 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import decompose
-from .distributions import PriceDistribution
 from .evaluation import WindowMinima, offline_cost
 
 
@@ -92,30 +89,6 @@ def min_cost_curve(
     minima = WindowMinima(prices.values)
     costs = [offline_cost(minima, decompose(load, float(b))) for b in capacities]
     return SizingCurve(tuple(float(b) for b in capacities), tuple(costs))
-
-
-def expected_min_cost_curve(
-    dist: PriceDistribution,
-    load: LoadTrace,
-    capacities: Sequence[float],
-    n_scenarios: int,
-    seed: int,
-) -> SizingCurve:
-    """Scenario-averaged curve: mean hindsight cost over sampled price traces.
-
-    Diminishing marginal savings holds per scenario, hence for the average.
-    The pieces depend only on the load, so each capacity is decomposed once.
-    """
-    if n_scenarios < 1:
-        raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    piece_sets = [decompose(load, float(b)) for b in capacities]
-    totals = np.zeros(len(capacities))
-    for _ in range(n_scenarios):
-        minima = WindowMinima(dist.sample(len(load), rng))
-        totals += [offline_cost(minima, pieces) for pieces in piece_sets]
-    costs = totals / n_scenarios
-    return SizingCurve(tuple(float(b) for b in capacities), tuple(float(c) for c in costs))
 
 
 def optimal_capacity(curve: SizingCurve, amortized_price: float) -> SizingResult:

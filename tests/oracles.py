@@ -27,6 +27,7 @@ from scipy.special import logsumexp, ndtr
 from gridstash.distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError, LengthMismatchError
 from gridstash.gmm import (
+    _SIGMA_FLOOR,
     EmConfig,
     FitReport,
     GmmModel,
@@ -182,7 +183,7 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
     if n < n_components:
         raise InsufficientSamplesError(f"{n} samples cannot support {n_components} components")
     rng = np.random.default_rng(config.init_seed)
-    floor = config.sigma_floor * float(x.std())
+    floor = _SIGMA_FLOOR * float(x.std())
     if floor <= 0:
         floor = 1e-9
     weights, means, stds = _initial_params(x, n_components, rng, floor)
@@ -228,7 +229,7 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
         iterations=iterations,
         converged=converged,
         n_samples=n,
-        ll_trace=tuple(trace),
+        ll_trace=np.array(trace),
     )
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +139,35 @@ def test_fit_outputs_and_reproducibility(price_csv, tmp_path):
     assert first == second  # byte-identical rerun
 
 
+def test_fit_bic_csv_rows_match_candidates(price_csv, tmp_path):
+    two_atoms = tmp_path / "two_atoms.csv"
+    save_price_trace(price_trace_from_values(np.tile([0.0, 1.0], 45)), two_atoms)
+    for prices in (price_csv, two_atoms):
+        out = tmp_path / f"fit_{prices.stem}"
+        assert run("fit", "--prices", str(prices), "--k-max", "4", "--seed", "3",
+                   "--out", str(out), "--reproducible") == 0
+        with open(out / "bic.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        candidates = gridstash.gmm.fit_candidates(
+            load_price_trace(prices).values, 4, gridstash.gmm.EmConfig(init_seed=3)
+        )
+        assert [int(row["K"]) for row in rows] == [c.n_components for c in candidates] == [1, 2, 3, 4]
+        for row, cand in zip(rows, candidates):
+            assert row["error"] == (cand.error or "")
+            if cand.report is None:
+                assert [row[key] for key in ("n_params", "bic", "iterations")] == ["", "", ""]
+                continue
+            assert int(row["n_params"]) == 3 * cand.n_components - 1
+            assert float(row["log_likelihood"]) == cand.report.log_likelihood
+            assert float(row["bic"]) == cand.report.bic
+            assert int(row["iterations"]) == cand.report.iterations
+            assert int(row["converged"]) == int(cand.report.converged)
+        bics = [float(row["bic"]) if row["bic"] else math.inf for row in rows]
+        lowest = bics.index(min(bics))
+        assert [int(row["selected"]) for row in rows] == [int(i == lowest) for i in range(4)]
+    assert any(c.error is not None for c in candidates)  # the two-atom sweep has failed rows
+
+
 def test_fit_without_reproducible_stamps_timestamp(price_csv, tmp_path):
     out = tmp_path / "fit"
     assert run("fit", "--prices", str(price_csv), "--k-max", "2", "--out", str(out)) == 0
@@ -156,10 +187,10 @@ def test_fit_gap_trace_exits_2(tmp_path):
 
 
 def test_fit_degenerate_exits_3(price_csv, tmp_path, monkeypatch):
-    def always_degenerate(*args, **kwargs):
-        raise DegenerateFitError("forced by test")
+    def always_degenerate(x, n_components, configs):
+        return [DegenerateFitError("forced by test") for _ in configs]
 
-    monkeypatch.setattr(gridstash.gmm, "em_fit", always_degenerate)
+    monkeypatch.setattr(gridstash.gmm, "_em_lanes", always_degenerate)
     assert run("fit", "--prices", str(price_csv), "--k-max", "3",
                "--out", str(tmp_path / "out")) == 3
 

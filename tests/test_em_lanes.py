@@ -14,7 +14,6 @@ from gridstash.errors import DegenerateFitError, InsufficientSamplesError
 from gridstash.gmm import (
     EmConfig,
     _em_lanes,
-    best_fit,
     derive_config,
     em_fit,
     fit_candidates,
@@ -70,14 +69,23 @@ def _random_group(rng, n: int) -> np.ndarray:
     return sample_with_rng(model, n, rng)
 
 
+def _assert_same_rows(rows, ref_rows) -> None:
+    """CandidateFit rows against _reference_rows: K order, error text, iterations, traces."""
+    assert [row.n_components for row in rows] == [k for k, _, _ in ref_rows]
+    for row, (_, want, error) in zip(rows, ref_rows):
+        _assert_same_error(row.error, error)
+        assert (row.report is None) == (want is None)
+        if want is not None:
+            _assert_same_fit(row.report, want)
+
+
 def _assert_same_selection(sel, ref_rows, ref_best) -> None:
     assert sel.best.model.n_components == ref_best.model.n_components
     _assert_same_fit(sel.best, ref_best)
-    ref_errors = [(k, error) for k, _, error in ref_rows if error is not None]
-    assert [k for k, _ in sel.errors] == [k for k, _ in ref_errors]
-    for (_, got), (_, want) in zip(sel.errors, ref_errors):
-        _assert_same_error(got, want)
-    assert list(sel.capped) == [
+    _assert_same_rows(sel.candidates, ref_rows)
+    diagnostics = sel.diagnostics()
+    assert diagnostics["failed_components"] == [k for k, _, error in ref_rows if error is not None]
+    assert diagnostics["capped_components"] == [
         k for k, report, _ in ref_rows if report is not None and not report.converged
     ]
 
@@ -108,8 +116,9 @@ def test_select_models_matches_reference_on_random_groups():
     assert len(selections) == len(groups)
     for x, cap, config, sel in zip(groups, caps, configs, selections):
         _assert_same_selection(sel, *_reference_rows(x, cap, config))
-    assert [k for k, _ in selections[2].errors] == [3, 4]
-    assert "lost all responsibility" in selections[2].errors[0][1]
+    failed = [row for row in selections[2].candidates if row.error is not None]
+    assert [row.n_components for row in failed] == [3, 4]
+    assert "lost all responsibility" in failed[0].error
     assert selections[3].diagnostics()["capped_components"] != []
 
 
@@ -143,14 +152,14 @@ def test_em_fit_matches_reference_single_lane():
     _assert_same_error(str(got.value), str(want.value))
 
 
-def test_select_models_agrees_with_fit_candidates_and_reraises():
+def test_fit_candidates_match_reference_rows_and_sweep_reraises():
     rng = np.random.default_rng(8)
     groups = [_random_group(rng, 90) for _ in range(3)]
-    configs = [EmConfig(init_seed=s) for s in (4, 5, 6)]
-    for x, config, sel in zip(groups, configs, select_models(groups, [3] * 3, configs)):
-        rows = fit_candidates(x, 3, config)
-        ref_rows = [(r.n_components, r.report, r.error) for r in rows]
-        _assert_same_selection(sel, ref_rows, best_fit(r.report for r in rows))
+    groups.append(np.concatenate([np.zeros(45), np.ones(45)]))  # K=3 starves
+    configs = [EmConfig(init_seed=s) for s in (4, 5, 6, 7)]
+    for x, config in zip(groups, configs):
+        _assert_same_rows(fit_candidates(x, 3, config), _reference_rows(x, 3, config)[0])
+    assert fit_candidates(groups[3], 3, configs[3])[2].error is not None
     # every candidate of the empty group fails, so the sweep re-raises
     with pytest.raises(InsufficientSamplesError):
         select_models([groups[0], np.empty(0)], [2, 1], configs[:2])

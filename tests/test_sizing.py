@@ -9,11 +9,9 @@ import pytest
 
 import oracles
 from gridstash.data_io import load_trace_from_values, price_trace_from_values
-from gridstash.distributions import UniformDistribution
 from gridstash.sizing import (
     SizingCurve,
     curve_to_csv,
-    expected_min_cost_curve,
     min_cost_curve,
     optimal_capacity,
 )
@@ -79,17 +77,6 @@ def test_optimal_capacity_non_increasing_in_price():
     assert all(b2 <= b1 for b1, b2 in zip(caps, caps[1:]))
 
 
-def test_expected_curve_averages_scenarios():
-    load = load_trace_from_values(np.tile([0.0, 2.0, 1.0, 0.0], 12))
-    dist = UniformDistribution(5.0, 25.0)
-    curve = expected_min_cost_curve(dist, load, [0.0, 2.0, 5.0], n_scenarios=30, seed=4)
-    again = expected_min_cost_curve(dist, load, [0.0, 2.0, 5.0], n_scenarios=30, seed=4)
-    assert curve.costs == again.costs  # seeded determinism
-    assert curve.costs[0] > curve.costs[1] > curve.costs[2]
-    with pytest.raises(ValueError):
-        expected_min_cost_curve(dist, load, [0.0, 1.0], n_scenarios=0, seed=0)
-
-
 def test_zero_capacity_cost_is_deadline_cost():
     prices = price_trace_from_values([3.0, 7.0, 2.0])
     load = load_trace_from_values([1.0, 2.0, 4.0])
@@ -123,16 +110,3 @@ def test_curve_equals_reference_pieces_with_slice_minima():
     curve = min_cost_curve(prices, load, grid)
     expected = tuple(_reference_cost(prices.values, load.values, float(b)) for b in grid)
     assert curve.costs == expected  # exact, not approximate
-
-
-def test_expected_curve_equals_reference_scenario_average():
-    load = load_trace_from_values(np.tile([0.0, 2.0, 1.0, 0.0, 3.0, 0.5], 8))
-    dist = UniformDistribution(-2.0, 25.0)
-    grid = [0.0, 1.5, 4.0]
-    curve = expected_min_cost_curve(dist, load, grid, n_scenarios=5, seed=9)
-    rng = np.random.default_rng(np.random.SeedSequence([9]))
-    totals = np.zeros(len(grid))
-    for _ in range(5):
-        values = dist.sample(len(load), rng)
-        totals += [_reference_cost(values, load.values, b) for b in grid]
-    assert curve.costs == tuple(float(c) for c in totals / 5)
