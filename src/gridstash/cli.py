@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--prices", help="price trace CSV")
     p.add_argument("--k-max", dest="k_max", type=int, help="largest component count to try")
-    p.add_argument("--tol", type=float, help="EM convergence tolerance")
+    p.add_argument("--tol", type=float, help="EM convergence tolerance: mean log-likelihood gain per sample")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="EM iteration cap")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_fit)
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k-max", dest="k_max", type=int, help="largest component count per fit")
     p.add_argument("--quantile", type=float, help="peak threshold quantile for peak-offpeak")
-    p.add_argument("--tol", type=float, help="EM convergence tolerance")
+    p.add_argument("--tol", type=float, help="EM convergence tolerance: mean log-likelihood gain per sample")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="EM iteration cap")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_backtest)

@@ -29,6 +29,10 @@ _SQRT_HALF = math.sqrt(0.5)
 # A component whose total responsibility falls below this is starved.
 _RESP_EPS = 1e-12
 
+# A group's BIC sweep stops once this many consecutive K fail to beat its
+# best BIC so far.
+_BIC_PATIENCE = 3
+
 # Each component's std is floored at this fraction of its sample's std, or at
 # an absolute 1e-9 when the sample is constant.
 _SIGMA_FLOOR = 1e-6
@@ -158,15 +162,20 @@ def make_model(weights, means, stds) -> GmmModel:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Knobs for one EM run."""
+    """Knobs for one EM run.
+
+    A fit converges once a pass changes the total log-likelihood by less than
+    tol per sample (tol * n), the mean-gain rule of scikit-learn's
+    GaussianMixture; max_iter caps the passes.
+    """
 
     tol: float = 1e-6
     max_iter: int = 500
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -322,7 +331,7 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
         floors[g] = floor if floor > 0 else 1e-9
         rng = np.random.default_rng(config.init_seed)
         weights[g], means[g], stds[g] = _initial_params(x[g], k, rng, floors[g])
-    tol = np.array([c.tol for c in configs])
+    tol = np.array([c.tol for c in configs]) * n
     max_iter = np.array([c.max_iter for c in configs])
     # log-likelihood per lane and pass; widened on demand, so a large
     # max_iter costs nothing until passes actually run
@@ -411,11 +420,12 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
 def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitReport:
     """Fit a mixture by expectation-maximization.
 
-    Each pass computes responsibilities in the log domain, checks convergence
-    of the total log-likelihood against the previous pass, then applies one
-    M-step (weighted mean, weighted variance around the new mean, weight =
-    responsibility share). Raises DegenerateFitError if a component starves,
-    the likelihood stops being finite, or it decreases beyond 1e-9.
+    Each pass computes responsibilities in the log domain, stops the fit once
+    the total log-likelihood moved by less than config.tol per sample since
+    the previous pass, and otherwise applies one M-step (weighted mean,
+    weighted variance around the new mean, weight = responsibility share).
+    Raises DegenerateFitError if a component starves, the likelihood stops
+    being finite, or it decreases beyond 1e-9.
     """
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
@@ -445,7 +455,8 @@ class CandidateFit:
 
 
 def fit_candidates(samples, max_components: int, config: EmConfig = EmConfig()) -> list[CandidateFit]:
-    """Fit every K in 1..max_components, capturing per-K failures."""
+    """The rows of one group's BIC sweep over 1..max_components, per-K failures
+    included; the sweep may stop early (see select_models)."""
     return list(select_models([samples], [max_components], [config])[0].candidates)
 
 
@@ -468,6 +479,7 @@ class Selection:
             "selected_components": self.best.model.n_components,
             "iterations": self.best.iterations,
             "converged": self.best.converged,
+            "swept_components": self.candidates[-1].n_components,
             "failed_components": [c.n_components for c in self.candidates if c.report is None],
             "capped_components": [
                 c.n_components
@@ -480,11 +492,15 @@ class Selection:
 def select_models(groups, max_components, configs) -> list[Selection]:
     """The BIC sweep over many sample groups, each with its own cap and config.
 
-    Group i fits every K in 1..max_components[i] with derive_config(configs[i],
-    K); a K that fails is kept as a row with its error, and a group whose every
-    K fails re-raises its last error. Groups sharing a sample count and a cap
-    are fitted together: each K runs once for the bucket, with one EM lane per
-    group.
+    Group i fits K = 1, 2, ... up to max_components[i] with
+    derive_config(configs[i], K); a K that fails is kept as a row with its
+    error, and a group whose every K fails re-raises its last error. A group
+    stops early once _BIC_PATIENCE consecutive K, counted from its first
+    successful fit, fail to beat its best BIC, so its candidates end at the
+    stopping K. Groups sharing a sample count and a cap are fitted together:
+    each K runs once for the bucket, with one EM lane per group still
+    sweeping; lanes are independent, so a group's rows do not depend on the
+    others.
     """
     xs = [_finite_samples(g) for g in groups]
     rows: list[list[CandidateFit]] = [[] for _ in xs]
@@ -494,6 +510,8 @@ def select_models(groups, max_components, configs) -> list[Selection]:
         if cap < 1:
             raise ValueError(f"max_components must be >= 1, got {cap}")
         buckets.setdefault((x.size, cap), []).append(i)
+    best_bic = [math.inf] * len(xs)
+    misses = [0] * len(xs)
     for (n, cap), members in buckets.items():
         stacked = np.stack([xs[i] for i in members])
         for k in range(1, cap + 1):
@@ -505,9 +523,22 @@ def select_models(groups, max_components, configs) -> list[Selection]:
             for i, result in zip(members, lane_results):
                 if isinstance(result, FitReport):
                     rows[i].append(CandidateFit(k, result, None))
+                    score = result.bic
                 else:
                     rows[i].append(CandidateFit(k, None, str(result)))
                     last_error[i] = result
+                    score = math.inf
+                if score < best_bic[i]:
+                    best_bic[i] = score
+                    misses[i] = 0
+                elif best_bic[i] < math.inf:  # misses count from the first fit
+                    misses[i] += 1
+            sweeping = [j for j, i in enumerate(members) if misses[i] < _BIC_PATIENCE]
+            if len(sweeping) < len(members):
+                members = [members[j] for j in sweeping]
+                stacked = stacked[sweeping]
+            if not members:
+                break
     selections = []
     for group_rows, error in zip(rows, last_error):
         fits = [row.report for row in group_rows if row.report is not None]

@@ -28,6 +28,7 @@ from gridstash.decomposition import FeasibilityReport
 from gridstash.errors import DegenerateFitError
 from gridstash.gmm import load_model
 from gridstash.synth import DEFAULT_PRICE_MODEL
+from oracles import STARVE_TOL
 
 
 def run(*argv) -> int:
@@ -142,14 +143,14 @@ def test_fit_outputs_and_reproducibility(price_csv, tmp_path):
 def test_fit_bic_csv_rows_match_candidates(price_csv, tmp_path):
     two_atoms = tmp_path / "two_atoms.csv"
     save_price_trace(price_trace_from_values(np.tile([0.0, 1.0], 45)), two_atoms)
-    for prices in (price_csv, two_atoms):
+    for prices, tol in ((price_csv, 1e-6), (two_atoms, STARVE_TOL)):
         out = tmp_path / f"fit_{prices.stem}"
         assert run("fit", "--prices", str(prices), "--k-max", "4", "--seed", "3",
-                   "--out", str(out), "--reproducible") == 0
+                   "--tol", str(tol), "--out", str(out), "--reproducible") == 0
         with open(out / "bic.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         candidates = gridstash.gmm.fit_candidates(
-            load_price_trace(prices).values, 4, gridstash.gmm.EmConfig(init_seed=3)
+            load_price_trace(prices).values, 4, gridstash.gmm.EmConfig(tol=tol, init_seed=3)
         )
         assert [int(row["K"]) for row in rows] == [c.n_components for c in candidates] == [1, 2, 3, 4]
         for row, cand in zip(rows, candidates):
@@ -178,6 +179,13 @@ def test_fit_without_reproducible_stamps_timestamp(price_csv, tmp_path):
 def test_fit_missing_file_exits_2(tmp_path):
     assert run("fit", "--prices", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "out")) == 2
+
+
+def test_fit_non_finite_tol_exits_2(price_csv, tmp_path, capsys):
+    for tol in ("-1", "nan", "inf"):
+        assert run("fit", "--prices", str(price_csv), "--tol", tol,
+                   "--out", str(tmp_path / "out")) == 2
+        assert "error: tol must be finite and positive" in capsys.readouterr().err
 
 
 def test_fit_gap_trace_exits_2(tmp_path):
@@ -316,7 +324,8 @@ def test_backtest_report_carries_fit_diagnostics(price_csv, load_csv, tmp_path):
     for fit, model in zip(fits, report["estimator"]["models"]):
         assert fit["selected_components"] == len(model["components"])
         assert set(fit) == {"selected_components", "iterations", "converged",
-                            "failed_components", "capped_components"}
+                            "swept_components", "failed_components", "capped_components"}
+        assert fit["selected_components"] <= fit["swept_components"] <= 3
         assert 1 <= fit["iterations"] <= 40
         assert fit["converged"] == (fit["selected_components"] not in fit["capped_components"])
         assert set(fit["capped_components"]) <= {1, 2}

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+import gridstash.gmm
 import oracles
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError
 from gridstash.gmm import (
     EmConfig,
+    FitReport,
     _em_lanes,
     derive_config,
     em_fit,
@@ -35,20 +37,6 @@ def _assert_same_error(got: str | None, want: str | None) -> None:
     assert _NUMBER.split(got) == _NUMBER.split(want)
     for a, b in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
         assert float(a) == pytest.approx(float(b), rel=REL, abs=0)
-
-
-def _reference_rows(samples, cap: int, config: EmConfig):
-    rows = []
-    for k in range(1, cap + 1):
-        try:
-            rows.append((k, oracles.reference_em_fit(samples, k, derive_config(config, k)), None))
-        except (DegenerateFitError, InsufficientSamplesError) as exc:
-            rows.append((k, None, str(exc)))
-    best = None
-    for _, report, _ in rows:
-        if report is not None and (best is None or report.bic < best.bic):
-            best = report
-    return rows, best
 
 
 def _assert_same_fit(got, want) -> None:
@@ -102,7 +90,13 @@ def _lane_groups():
             x = _random_group(rng, 120)
         groups.append(x)
         caps.append(4)
-        configs.append(EmConfig(init_seed=lane, max_iter=5 if lane == 3 else 500))
+        configs.append(
+            EmConfig(
+                tol=oracles.STARVE_TOL if lane == 2 else 1e-6,
+                init_seed=lane,
+                max_iter=5 if lane == 3 else 500,
+            )
+        )
     for n, cap in ((80, 3), (80, 3), (50, 5), (120, 2)):
         groups.append(_random_group(rng, n))
         caps.append(cap)
@@ -115,7 +109,7 @@ def test_select_models_matches_reference_on_random_groups():
     selections = select_models(groups, caps, configs)
     assert len(selections) == len(groups)
     for x, cap, config, sel in zip(groups, caps, configs, selections):
-        _assert_same_selection(sel, *_reference_rows(x, cap, config))
+        _assert_same_selection(sel, *oracles.reference_sweep(x, cap, config))
     failed = [row for row in selections[2].candidates if row.error is not None]
     assert [row.n_components for row in failed] == [3, 4]
     assert "lost all responsibility" in failed[0].error
@@ -145,10 +139,11 @@ def test_em_fit_matches_reference_single_lane():
     for k in (1, 2, 3, 5):
         config = EmConfig(init_seed=k)
         _assert_same_fit(em_fit(x, k, config), oracles.reference_em_fit(x, k, config))
+    two_atoms = np.concatenate([np.zeros(30), np.ones(30)])
     with pytest.raises(DegenerateFitError) as got:
-        em_fit(np.concatenate([np.zeros(30), np.ones(30)]), 3)
+        em_fit(two_atoms, 3, EmConfig(tol=oracles.STARVE_TOL))
     with pytest.raises(DegenerateFitError) as want:
-        oracles.reference_em_fit(np.concatenate([np.zeros(30), np.ones(30)]), 3)
+        oracles.reference_em_fit(two_atoms, 3, EmConfig(tol=oracles.STARVE_TOL))
     _assert_same_error(str(got.value), str(want.value))
 
 
@@ -156,13 +151,96 @@ def test_fit_candidates_match_reference_rows_and_sweep_reraises():
     rng = np.random.default_rng(8)
     groups = [_random_group(rng, 90) for _ in range(3)]
     groups.append(np.concatenate([np.zeros(45), np.ones(45)]))  # K=3 starves
-    configs = [EmConfig(init_seed=s) for s in (4, 5, 6, 7)]
+    configs = [EmConfig(init_seed=s) for s in (4, 5, 6)] + [EmConfig(tol=oracles.STARVE_TOL, init_seed=7)]
     for x, config in zip(groups, configs):
-        _assert_same_rows(fit_candidates(x, 3, config), _reference_rows(x, 3, config)[0])
+        _assert_same_rows(fit_candidates(x, 3, config), oracles.reference_sweep(x, 3, config)[0])
     assert fit_candidates(groups[3], 3, configs[3])[2].error is not None
     # every candidate of the empty group fails, so the sweep re-raises
     with pytest.raises(InsufficientSamplesError):
         select_models([groups[0], np.empty(0)], [2, 1], configs[:2])
+
+
+def _assert_identical_rows(rows, want) -> None:
+    """Two sweeps' rows equal bit for bit."""
+    assert [row.n_components for row in rows] == [row.n_components for row in want]
+    for row, ref in zip(rows, want):
+        assert row.error == ref.error
+        if ref.report is None:
+            assert row.report is None
+            continue
+        got, exp = row.report, ref.report
+        assert (got.iterations, got.converged, got.log_likelihood, got.bic) == (
+            exp.iterations, exp.converged, exp.log_likelihood, exp.bic
+        )
+        assert np.array_equal(got.ll_trace, exp.ll_trace)
+        assert got.model == exp.model
+
+
+def test_lanes_leaving_at_different_k_match_solo_fits_bit_for_bit():
+    # 24 equal-size groups, one bucket, as the hourly estimator fits them
+    rng = np.random.default_rng(99)
+    groups = [_random_group(rng, 100) for _ in range(24)]
+    configs = [derive_config(EmConfig(), 1, h) for h in range(24)]
+    together = select_models(groups, [6] * 24, configs)
+    swept = set()
+    for x, config, sel in zip(groups, configs, together):
+        (alone,) = select_models([x], [6], [config])
+        _assert_identical_rows(sel.candidates, alone.candidates)
+        assert sel.best is not alone.best and sel.best.model == alone.best.model
+        swept.add(sel.diagnostics()["swept_components"])
+    assert len(swept) > 2 and min(swept) < 6  # lanes left the bucket at different K
+
+
+def test_gaussian_sweep_stops_after_three_non_improving_k():
+    rng = np.random.default_rng(9)
+    x = rng.normal(0.0, 1.0, 600)
+    (sel,) = select_models([x], [8], [EmConfig()])
+    assert [row.n_components for row in sel.candidates] == [1, 2, 3, 4]
+    assert sel.best.model.n_components == 1
+    assert sel.diagnostics()["swept_components"] == 4
+    _assert_same_rows(sel.candidates, oracles.reference_sweep(x, 8, EmConfig())[0])
+
+
+# BIC per K (None: the fit fails) for lanes whose samples all equal the key
+_SCRIPTED_BICS = {
+    0.0: [10, 11, 12, 13, 5, 5, 5, 5],          # three misses after K=1: stop at 4
+    1.0: [10, 11, 12, 9, 13, 14, 15, 1],        # better on the third K after K=1
+    2.0: [None, None, None, 10, 11, 12, 13, 9],  # failures before the first fit
+    3.0: [10, None, None, None, 5, 5, 5, 5],     # failures after it are misses
+    4.0: [10, 10, 10, 10, 5, 5, 5, 5],           # a tie does not beat the best
+}
+
+
+def _scripted_lanes(x, n_components, configs):
+    results = []
+    for row in x:
+        value = _SCRIPTED_BICS[float(row[0])][n_components - 1]
+        if value is None:
+            results.append(DegenerateFitError(f"scripted failure at K={n_components}"))
+            continue
+        k = n_components
+        model = make_model(np.full(k, 1.0 / k), np.arange(k, dtype=float), np.ones(k))
+        results.append(
+            FitReport(model, -value / 2.0, float(value), 1, True, row.size, np.array([0.0]))
+        )
+    return results
+
+
+def test_sweep_early_stop_follows_the_scripted_bics(monkeypatch):
+    monkeypatch.setattr(gridstash.gmm, "_em_lanes", _scripted_lanes)
+    keys = sorted(_SCRIPTED_BICS)
+    sels = select_models([np.full(40, key) for key in keys], [8] * len(keys), [EmConfig()] * len(keys))
+    swept = {key: [row.n_components for row in sel.candidates] for key, sel in zip(keys, sels)}
+    assert swept == {
+        0.0: [1, 2, 3, 4],
+        1.0: [1, 2, 3, 4, 5, 6, 7],  # a patience of 2 stops at 3 and picks K=1
+        2.0: [1, 2, 3, 4, 5, 6, 7],
+        3.0: [1, 2, 3, 4],
+        4.0: [1, 2, 3, 4],
+    }
+    assert [sel.best.model.n_components for sel in sels] == [1, 4, 4, 1, 1]
+    assert [sel.diagnostics()["swept_components"] for sel in sels] == [4, 7, 7, 4, 4]
+    assert sels[2].diagnostics()["failed_components"] == [1, 2, 3]
 
 
 def test_logsumexp_matches_scipy_with_tied_maxima():

@@ -29,6 +29,7 @@ from gridstash.gmm import (
     save_model,
     select_model,
 )
+from oracles import STARVE_TOL
 
 
 def test_model_components_sorted_and_weights_checked():
@@ -129,6 +130,12 @@ def test_em_bic_consistent_with_report_fields():
     )
 
 
+def test_em_config_rejects_non_finite_or_non_positive_tol():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            EmConfig(tol=tol)
+
+
 def test_em_rejects_bad_inputs():
     with pytest.raises(InsufficientSamplesError):
         em_fit([1.0, 2.0], 3)
@@ -142,7 +149,9 @@ def test_em_starved_component_raises():
     # three components cannot all hold mass on two-atom data
     x = np.concatenate([np.zeros(30), np.ones(30)])
     with pytest.raises(DegenerateFitError, match="responsibility"):
-        em_fit(x, 3)
+        em_fit(x, 3, EmConfig(tol=STARVE_TOL))
+    # at the default tol the fit converges first, keeping a ~1e-14 weight
+    assert em_fit(x, 3).model.weights.min() < 1e-12
 
 
 def test_em_constant_data_survives_via_sigma_floor():
@@ -155,7 +164,7 @@ def test_em_constant_data_survives_via_sigma_floor():
 
 def test_fit_candidates_records_failures_per_row():
     x = np.concatenate([np.zeros(30), np.ones(30)])  # only two distinct values
-    rows = fit_candidates(x, 3)
+    rows = fit_candidates(x, 3, EmConfig(tol=STARVE_TOL))
     assert [row.n_components for row in rows] == [1, 2, 3]
     assert rows[0].error is None
     assert rows[1].error is None
