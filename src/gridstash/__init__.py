@@ -24,7 +24,6 @@ from .decomposition import (
 from .distributions import (
     DiscreteDistribution,
     GmmDistribution,
-    PointMass,
     PriceDistribution,
     UniformDistribution,
 )
@@ -34,7 +33,6 @@ from .evaluation import (
     WindowMinima,
     brute_force_expected_cost,
     daily_cost_ratios,
-    enumerate_offline_expected_min,
     general_serving_study,
     offline_optimal_general,
     one_shot_regret_study,
@@ -57,7 +55,6 @@ from .policy import (
     ThresholdSchedule,
     compute_thresholds_iid,
     compute_thresholds_timevarying,
-    expected_policy_cost_iid,
     run_policy,
 )
 from .sizing import SizingCurve, SizingResult, min_cost_curve, optimal_capacity

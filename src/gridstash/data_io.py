@@ -31,6 +31,11 @@ _PRICE_HEADER = ("timestamp", "price")
 _LOAD_HEADER = ("timestamp", "demand")
 
 
+def hours_of_day(start: datetime, n: int) -> np.ndarray:
+    """Hour-of-day of each of n hourly slots from start, shape (n,)."""
+    return (start.hour + np.arange(n)) % HOURS_PER_DAY
+
+
 @dataclass(frozen=True, eq=False)
 class HourlyTrace:
     """A contiguous hourly series anchored at a wall-clock start time.
@@ -63,10 +68,7 @@ class HourlyTrace:
 
     def hours_of_day(self) -> np.ndarray:
         """Hour-of-day of every slot, shape (n,)."""
-        return (self.start.hour + np.arange(len(self))) % HOURS_PER_DAY
-
-    def timestamps(self) -> list[datetime]:
-        return [self.start + timedelta(hours=i) for i in range(len(self))]
+        return hours_of_day(self.start, len(self))
 
     def window(self, lo: int, hi: int) -> "HourlyTrace":
         """Sub-trace covering slots [lo, hi), keeping wall-clock anchoring."""

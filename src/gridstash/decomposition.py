@@ -84,24 +84,12 @@ class DispatchSchedule:
         """Stored energy after each slot."""
         return np.cumsum(self.charge - self.discharge)
 
-    def total_purchase(self) -> np.ndarray:
-        return self.direct + self.charge
-
-    def cost(self, prices: np.ndarray) -> float:
-        p = np.asarray(prices, dtype=float)
-        if p.size != len(self):
-            raise LengthMismatchError(f"{p.size} prices vs {len(self)} schedule slots")
-        return float(np.dot(self.total_purchase(), p))
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     ok: bool
     violation: str | None = None
     slot: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def decompose(load: LoadTrace, capacity: float) -> Pieces:

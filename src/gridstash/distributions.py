@@ -3,7 +3,7 @@
 Every distribution exposes the handful of functionals the policy recursion
 and the regret machinery need: mean, cdf/pdf, truncated first moment, the
 expected minimum of two independent draws, and seeded sampling. Mixtures
-delegate to the fitting module; uniform, discrete (and point-mass) laws and
+delegate to the fitting module; uniform and discrete laws and
 mixtures each carry closed forms, so nothing here integrates numerically.
 """
 
@@ -160,13 +160,6 @@ class DiscreteDistribution(PriceDistribution):
         if not np.any(mask):
             return 0.0
         return float(self.probs[mask].min())
-
-
-class PointMass(DiscreteDistribution):
-    """All mass at one price."""
-
-    def __init__(self, value: float) -> None:
-        super().__init__([value], [1.0])
 
 
 @dataclass(frozen=True)

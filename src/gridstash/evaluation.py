@@ -227,23 +227,6 @@ def brute_force_expected_cost(values, probs, horizon: int) -> float:
     return expected
 
 
-def enumerate_offline_expected_min(values, probs, horizon: int) -> float:
-    """Exact E[min of T iid draws] by enumerating every price path."""
-    v = np.asarray(values, dtype=float)
-    q = np.asarray(probs, dtype=float)
-    _check_support(v, q, horizon)
-    size = v.size
-    total_paths = size**horizon
-    acc = 0.0
-    chunk = 1 << 16
-    digits = size ** np.arange(horizon - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, total_paths, chunk):
-        ids = np.arange(lo, min(lo + chunk, total_paths), dtype=np.int64)
-        idx = (ids[:, None] // digits[None, :]) % size
-        acc += float(np.dot(v[idx].min(axis=1), q[idx].prod(axis=1)))
-    return acc
-
-
 @dataclass(frozen=True)
 class GammaPoint:
     """Monte-Carlo estimate of relative regret at one horizon."""

@@ -246,16 +246,6 @@ def logsumexp(a, axis: int = -1) -> np.ndarray:
     return np.squeeze(_log_of_sums(*_exp_shifted(work, axis)), axis=axis)
 
 
-def log_likelihood(model: GmmModel, samples) -> float:
-    """Total log-likelihood of samples under the mixture; 0.0 for no samples."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        return 0.0
-    comp = np.empty((1, model.n_components, x.size))
-    _log_densities(x[None, :], model.weights[None, :], model.means[None, :], model.stds[None, :], comp)
-    return float(np.sum(logsumexp(comp, axis=1)))
-
-
 def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.size
     centers = np.empty(k)
@@ -595,11 +585,6 @@ def expected_min_of_two(model: GmmModel) -> float:
     z = m / s
     folded = 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * (1.0 - 2.0 * _ndtr_each(-z))
     return model.mean() - 0.5 * float(model.weights @ folded @ model.weights)
-
-
-def sample(model: GmmModel, n: int, seed: int) -> np.ndarray:
-    """Draw n prices from the mixture with a fresh seeded generator."""
-    return sample_with_rng(model, n, np.random.default_rng(seed))
 
 
 def sample_with_rng(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -86,7 +86,7 @@ class PriceEstimator:
     hour_index: tuple[int, ...]
     labeling: PeriodLabeling | None = None
     quantile: float | None = None
-    # Selection.diagnostics() of each model; absent on an estimator loaded from JSON
+    # Selection.diagnostics() of each model, in model order
     fit_diagnostics: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,15 +118,6 @@ def _component_cap(n_samples: int, max_components: int) -> int:
     return max(1, min(max_components, n_samples // 10))
 
 
-def _select(groups, max_components: int, config: gmm.EmConfig, keys) -> list[gmm.Selection]:
-    """BIC-select one mixture per sample group, group i seeded from keys[i]."""
-    return gmm.select_models(
-        groups,
-        [_component_cap(g.size, max_components) for g in groups],
-        [gmm.derive_config(config, *key) for key in keys],
-    )
-
-
 def fit_estimator(
     prices: PriceTrace,
     variant: Variant | str,
@@ -136,55 +127,44 @@ def fit_estimator(
 ) -> PriceEstimator:
     """Fit the chosen estimator variant on a training price trace.
 
-    Every sub-model runs the EM sweep with BIC selection; each gets its own
-    seed derived from the config seed so results do not depend on fit order.
-    The 24 hourly sub-models are fitted together, one EM lane per hour.
-    A degenerate peak labeling (no peak or no off-peak hours) collapses the
-    two-period variant to a single pooled model.
+    A variant only chooses which sub-model each hour-of-day belongs to and
+    the seed key of each sub-model: single (0,), hourly (1, h), peak-offpeak
+    (4,) off-peak and (3,) peak, or (2,) when a degenerate labeling (no peak
+    or no off-peak hours) collapses it to one pooled model. Every sub-model
+    then runs the EM sweep with BIC selection on the prices of its hours,
+    seeded from the config seed and its key so results do not depend on fit
+    order; the sub-models are fitted together, one EM lane per group.
     """
     variant = Variant(variant)
-    values = prices.values
+    labeling = None
     if variant is Variant.SINGLE:
-        (sel,) = _select([values], max_components, config, [(0,)])
-        return PriceEstimator(variant, (sel.best.model,), (0,) * HOURS_PER_DAY, fit_diagnostics=(sel.diagnostics(),))
-    if variant is Variant.HOURLY:
+        hour_index, keys = (0,) * HOURS_PER_DAY, [(0,)]
+    elif variant is Variant.HOURLY:
         if len(prices) < HOURS_PER_DAY:
             raise InsufficientDataError(
                 f"hourly estimator needs at least one full day, got {len(prices)} slots"
             )
-        hours = prices.hours_of_day()
-        sels = _select(
-            [values[hours == h] for h in range(HOURS_PER_DAY)],
-            max_components,
-            config,
-            [(1, h) for h in range(HOURS_PER_DAY)],
-        )
-        return PriceEstimator(
-            variant,
-            tuple(sel.best.model for sel in sels),
-            tuple(range(HOURS_PER_DAY)),
-            fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
-        )
-    labeling = detect_periods(prices, quantile)
-    if not labeling.peak or not labeling.offpeak:
-        (sel,) = _select([values], max_components, config, [(2,)])
-        return PriceEstimator(
-            Variant.PEAK_OFFPEAK,
-            (sel.best.model,),
-            (0,) * HOURS_PER_DAY,
-            labeling=labeling,
-            quantile=quantile,
-            fit_diagnostics=(sel.diagnostics(),),
-        )
-    peak_mask = np.isin(prices.hours_of_day(), sorted(labeling.peak))
-    sels = _select([values[~peak_mask], values[peak_mask]], max_components, config, [(4,), (3,)])
-    hour_index = tuple(1 if labeling.is_peak(h) else 0 for h in range(HOURS_PER_DAY))
+        hour_index, keys = tuple(range(HOURS_PER_DAY)), [(1, h) for h in range(HOURS_PER_DAY)]
+    else:
+        labeling = detect_periods(prices, quantile)
+        if labeling.peak and labeling.offpeak:
+            hour_index = tuple(int(labeling.is_peak(h)) for h in range(HOURS_PER_DAY))
+            keys = [(4,), (3,)]
+        else:
+            hour_index, keys = (0,) * HOURS_PER_DAY, [(2,)]
+    hour_groups = np.asarray(hour_index)[prices.hours_of_day()]
+    groups = [prices.values[hour_groups == g] for g in range(len(keys))]
+    sels = gmm.select_models(
+        groups,
+        [_component_cap(g.size, max_components) for g in groups],
+        [gmm.derive_config(config, *key) for key in keys],
+    )
     return PriceEstimator(
-        Variant.PEAK_OFFPEAK,
+        variant,
         tuple(sel.best.model for sel in sels),
         hour_index,
         labeling=labeling,
-        quantile=quantile,
+        quantile=None if labeling is None else quantile,
         fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
     )
 
@@ -202,28 +182,7 @@ def estimator_to_json_dict(estimator: PriceEstimator) -> dict:
     return doc
 
 
-def estimator_from_json_dict(doc: dict) -> PriceEstimator:
-    try:
-        labeling = None
-        if "peak_hours" in doc:
-            peak = frozenset(int(h) for h in doc["peak_hours"])
-            labeling = PeriodLabeling(peak, frozenset(range(HOURS_PER_DAY)) - peak)
-        return PriceEstimator(
-            variant=Variant(doc["variant"]),
-            models=tuple(gmm.model_from_json_dict(m) for m in doc["models"]),
-            hour_index=tuple(int(i) for i in doc["hour_index"]),
-            labeling=labeling,
-            quantile=doc.get("quantile"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed estimator document: {exc}") from None
-
-
 def save_estimator(estimator: PriceEstimator, path) -> None:
     Path(path).write_text(
         json.dumps(estimator_to_json_dict(estimator), indent=2) + "\n", encoding="utf-8"
     )
-
-
-def load_estimator(path) -> PriceEstimator:
-    return estimator_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))

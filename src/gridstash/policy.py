@@ -100,17 +100,6 @@ def compute_thresholds_iid(dist: PriceDistribution, horizon: int) -> ThresholdSc
     return compute_thresholds_timevarying([dist] * horizon)
 
 
-def expected_policy_cost_iid(dist: PriceDistribution, horizon: int) -> float:
-    """Expected purchase price of the threshold policy itself: one more
-    recursion step applied to the full window."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    value = float(dist.mean())
-    for _ in range(horizon - 1):
-        value = _one_step(dist, value)
-    return value
-
-
 def simulate_one_shot_matrix(
     price_matrix: np.ndarray, schedule: ThresholdSchedule
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from datetime import datetime
 import numpy as np
 
 from . import gmm
-from .data_io import DEFAULT_START, HOURS_PER_DAY, LoadTrace, PriceTrace
+from .data_io import DEFAULT_START, HOURS_PER_DAY, LoadTrace, PriceTrace, hours_of_day
 
 DEFAULT_PRICE_MODEL = gmm.make_model(
     weights=(0.5, 0.3, 0.2),
@@ -49,8 +49,7 @@ def synth_prices(
         # draw both streams unconditionally so the base stream's draws do not
         # depend on which hours are peak
         alt = gmm.sample_with_rng(peak_model, n_hours, rng)
-        hod = (start.hour + np.arange(n_hours)) % HOURS_PER_DAY
-        mask = np.isin(hod, sorted(peak_hours))
+        mask = np.isin(hours_of_day(start, n_hours), sorted(peak_hours))
         values = np.where(mask, alt, base)
     return PriceTrace(start, values)
 
@@ -76,7 +75,7 @@ def synth_load(
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    hod = (start.hour + np.arange(n_hours)) % HOURS_PER_DAY
+    hod = hours_of_day(start, n_hours)
     # circular distance so the bump wraps cleanly around midnight
     dist = np.minimum(np.abs(hod - peak_hour), HOURS_PER_DAY - np.abs(hod - peak_hour))
     shape = base + amplitude * np.exp(-0.5 * (dist / width) ** 2)

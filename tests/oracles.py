@@ -26,6 +26,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import logsumexp, ndtr
 
+from gridstash.data_io import hours_of_day
 from gridstash.distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError, LengthMismatchError
 from gridstash.gmm import (
@@ -149,14 +150,14 @@ def reference_run_policy(prices, load, capacity: float, source):
     One schedule per (start hour-of-day, window length), built from the laws
     of the hours slot by slot, and one scalar serve per piece.
     """
+    hours = hours_of_day(prices.start, len(prices)).tolist()
     cache = {}
     rows = []
     for quantity, t_start, t_end in reference_decompose(load.values, capacity):
-        length = t_end - t_start + 1
-        key = ((prices.start.hour + t_start) % 24, length)
+        key = (hours[t_start], t_end - t_start + 1)
         if key not in cache:
             cache[key] = compute_thresholds_timevarying(
-                [source.distribution_for_hour((key[0] + j) % 24) for j in range(length)]
+                [source.distribution_for_hour(h) for h in hours[t_start : t_end + 1]]
             )
         offset, price, threshold, forced = serve_one_shot(
             cache[key], prices.values[t_start : t_end + 1]

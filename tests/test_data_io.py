@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -154,7 +154,7 @@ def test_split_sizes_match_day_boundaries():
     split = split_train_test(trace, 21)
     assert len(split.train) == 504
     assert len(split.test) == 240
-    assert split.test.start == trace.timestamps()[504]
+    assert split.test.start == trace.start + timedelta(hours=504)
     assert np.array_equal(
         np.concatenate([split.train.values, split.test.values]), trace.values
     )

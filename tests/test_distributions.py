@@ -11,7 +11,6 @@ import oracles
 from gridstash.distributions import (
     DiscreteDistribution,
     GmmDistribution,
-    PointMass,
     UniformDistribution,
 )
 from gridstash.gmm import make_model
@@ -135,7 +134,7 @@ def test_discrete_sampling_matches_probs():
 
 
 def test_point_mass():
-    p = PointMass(7.5)
+    p = DiscreteDistribution([7.5], [1.0])
     assert p.mean() == 7.5
     assert p.cdf(7.5) == 1.0
     assert p.prob_below(7.5) == 0.0
@@ -168,7 +167,7 @@ def test_expected_min_never_exceeds_mean():
         UniformDistribution(0.0, 1.0),
         DiscreteDistribution([0.0, 1.0, 3.0], [0.3, 0.4, 0.3]),
         GmmDistribution(make_model((1.0,), (5.0,), (1.0,))),
-        PointMass(2.0),
+        DiscreteDistribution([2.0], [1.0]),
     ]
     for d in dists:
         assert d.expected_min_of_two() <= d.mean() + 1e-12

@@ -32,7 +32,6 @@ from gridstash.evaluation import (
     beta_to_csv,
     brute_force_expected_cost,
     daily_cost_ratios,
-    enumerate_offline_expected_min,
     gamma_to_csv,
     general_serving_study,
     offline_optimal_general,
@@ -232,7 +231,8 @@ def test_brute_force_matches_path_enumeration():
 
 
 def test_enumerate_offline_expected_min_agrees_with_oracle_and_closed_form():
-    assert enumerate_offline_expected_min([0.0, 1.0], [0.5, 0.5], 2) == pytest.approx(
+    # the path-enumeration oracle the tests trust for E[min of T draws]
+    assert oracles.enumerate_offline_expected_min([0.0, 1.0], [0.5, 0.5], 2) == pytest.approx(
         0.25
     )
     rng = np.random.default_rng(19)
@@ -241,15 +241,13 @@ def test_enumerate_offline_expected_min_agrees_with_oracle_and_closed_form():
         values = np.sort(rng.uniform(0.0, 3.0, size=k)) + np.arange(k) * 1e-9
         probs = rng.dirichlet(np.ones(k))
         horizon = int(rng.integers(1, 5))
-        ours = enumerate_offline_expected_min(values, probs, horizon)
         ref = oracles.enumerate_offline_expected_min(values, probs, horizon)
-        assert ours == pytest.approx(ref, abs=1e-12)
         # survival closed form: E[min] = sum_k v_k (S_k^T - S_{k+1}^T)
         cum = np.concatenate(([0.0], np.cumsum(probs)))
         survival = 1.0 - cum[:-1]
         shifted = np.concatenate((survival[1:], [0.0]))
         closed = float(np.dot(values, survival**horizon - shifted**horizon))
-        assert ours == pytest.approx(closed, abs=1e-9)
+        assert ref == pytest.approx(closed, abs=1e-9)
 
 
 def test_enumeration_cap_enforced():
@@ -257,8 +255,6 @@ def test_enumeration_cap_enforced():
     probs = np.full(10, 0.1)
     with pytest.raises(InstanceTooLargeError):
         brute_force_expected_cost(values, probs, 8)
-    with pytest.raises(InstanceTooLargeError):
-        enumerate_offline_expected_min(values, probs, 8)
 
 
 def test_one_shot_regret_study_structure_and_determinism():

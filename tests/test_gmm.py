@@ -17,14 +17,12 @@ from gridstash.gmm import (
     em_fit,
     fit_candidates,
     load_model,
-    log_likelihood,
     make_model,
     model_from_json_dict,
     model_to_json_dict,
     n_free_params,
     partial_expectation,
     pdf,
-    sample,
     sample_with_rng,
     save_model,
     select_model,
@@ -65,19 +63,6 @@ def test_free_parameter_count_and_bic_value():
     assert bic(-100.0, 500, 2) == pytest.approx(212.42921619684438, abs=1e-12)
     with pytest.raises(ValueError):
         bic(-1.0, 0, 2)
-
-
-def test_log_likelihood_standard_normal_at_zero():
-    m = make_model((1.0,), (0.0,), (1.0,))
-    assert log_likelihood(m, [0.0]) == pytest.approx(-0.9189385332046727, abs=1e-15)
-    assert log_likelihood(m, []) == 0.0
-
-
-def test_log_likelihood_matches_scipy_mixture():
-    m = make_model((0.4, 0.6), (1.0, 4.0), (0.5, 2.0))
-    xs = np.linspace(-3.0, 9.0, 25)
-    dens = 0.4 * stats.norm.pdf(xs, 1.0, 0.5) + 0.6 * stats.norm.pdf(xs, 4.0, 2.0)
-    assert log_likelihood(m, xs) == pytest.approx(float(np.sum(np.log(dens))), rel=1e-12)
 
 
 def test_single_component_fit_recovers_moments_exactly():
@@ -228,15 +213,15 @@ def test_partial_expectation_rejects_bad_interval():
 
 def test_sampling_moments_and_determinism():
     m = make_model((0.5, 0.5), (0.0, 10.0), (1.0, 1.0))
-    x = sample(m, 200_000, seed=21)
+    x = sample_with_rng(m, 200_000, np.random.default_rng(21))
     assert float(np.mean(x)) == pytest.approx(m.mean(), abs=0.05)
     assert float(np.var(x)) == pytest.approx(m.variance(), rel=0.02)
     a = sample_with_rng(m, 100, np.random.default_rng(5))
     b = sample_with_rng(m, 100, np.random.default_rng(5))
     assert np.array_equal(a, b)
-    assert sample(m, 0, seed=0).size == 0
+    assert sample_with_rng(m, 0, np.random.default_rng(0)).size == 0
     with pytest.raises(ValueError):
-        sample(m, -1, seed=0)
+        sample_with_rng(m, -1, np.random.default_rng(0))
 
 
 def test_json_round_trip(tmp_path):

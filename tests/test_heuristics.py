@@ -2,26 +2,29 @@
 
 from __future__ import annotations
 
+import json
+import math
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from gridstash.data_io import price_trace_from_values
+from gridstash import gmm
+from gridstash.data_io import price_trace_from_values, split_train_test
 from gridstash.errors import InsufficientDataError
+from gridstash.evaluation import beta_summary, daily_cost_ratios
 from gridstash.gmm import EmConfig
 from gridstash.heuristics import (
     PeriodLabeling,
     PriceEstimator,
     Variant,
+    _component_cap,
     detect_periods,
-    estimator_from_json_dict,
     estimator_to_json_dict,
     fit_estimator,
-    load_estimator,
     save_estimator,
 )
-from gridstash.synth import DEFAULT_PRICE_MODEL, shift_model, synth_prices
+from gridstash.synth import DEFAULT_PRICE_MODEL, shift_model, synth_load, synth_prices
 
 
 def evening_peak_day():
@@ -183,22 +186,77 @@ def test_component_cap_scales_with_samples():
     assert est.models[0].n_components <= 3
 
 
+def test_submodel_seed_keys():
+    # each variant fits its groups with fixed seed keys: single (0,), hourly
+    # (1, h), peak-offpeak (4,) off-peak and (3,) peak, collapsed (2,)
+    config = EmConfig(init_seed=5)
+    trace = synth_prices(24 * 21, seed=4, peak_model=shift_model(DEFAULT_PRICE_MODEL, 30.0))
+    values, hours = trace.values, trace.hours_of_day()
+    peak = np.isin(hours, sorted(detect_periods(trace).peak))
+    assert peak.any() and not peak.all()
+    cases = [
+        ("single", None, [values], [(0,)]),
+        ("hourly", None, [values[hours == h] for h in range(24)], [(1, h) for h in range(24)]),
+        ("peak-offpeak", None, [values[~peak], values[peak]], [(4,), (3,)]),
+        ("peak-offpeak", 1.0, [values], [(2,)]),
+    ]
+    for variant, quantile, groups, keys in cases:
+        est = fit_estimator(trace, variant, max_components=3, config=config, quantile=quantile)
+        sels = gmm.select_models(
+            groups,
+            [_component_cap(g.size, 3) for g in groups],
+            [gmm.derive_config(config, *key) for key in keys],
+        )
+        assert est.models == tuple(sel.best.model for sel in sels), (variant, quantile)
+
+
 def test_estimator_json_round_trip(tmp_path):
     trace = synth_prices(24 * 8, seed=1, peak_model=shift_model(DEFAULT_PRICE_MODEL, 25.0))
     for variant in ("single", "hourly", "peak-offpeak"):
         est = fit_estimator(trace, variant, max_components=2)
         doc = estimator_to_json_dict(est)
-        back = estimator_from_json_dict(doc)
-        assert back.variant == est.variant
-        assert back.models == est.models
-        assert back.hour_index == est.hour_index
-        assert back.labeling == est.labeling
+        assert doc["variant"] == est.variant.value
+        assert doc["hour_index"] == list(est.hour_index)
+        assert len(doc["models"]) == len(est.models)
+        for model_doc, model in zip(doc["models"], est.models):
+            assert gmm.model_from_json_dict(model_doc) == model
+        if est.labeling is None:
+            assert "peak_hours" not in doc
+        else:
+            assert doc["peak_hours"] == sorted(est.labeling.peak)
         path = tmp_path / f"{variant}.json"
         save_estimator(est, path)
-        loaded = load_estimator(path)
-        assert loaded.models == est.models
-    with pytest.raises(ValueError):
-        estimator_from_json_dict({"variant": "single"})
+        assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+
+def _hourly_backtest(scale: float = 1.0, shift: float = 0.0):
+    """Hourly estimator on 30 days of transformed prices, served on the next 10."""
+    prices = synth_prices(24 * 40, seed=1)
+    prices = price_trace_from_values(prices.values * scale + shift, start=prices.start)
+    load = synth_load(24 * 40, seed=2)
+    price_split = split_train_test(prices, 30)
+    load_split = split_train_test(load, 30)
+    est = fit_estimator(price_split.train, "hourly")
+    capacity = 0.5 * float(load.values.max())
+    points, summary = daily_cost_ratios(price_split.test, load_split.test, capacity, est)
+    ks = [m.n_components for m in est.models]
+    return ks, beta_summary(points)["beta_mean"], summary.result.records.buy_slot
+
+
+def test_hourly_fit_is_scale_invariant():
+    ks, beta_mean, _ = _hourly_backtest()
+    assert len(set(ks)) > 1 or ks[0] > 1  # the picks are not all forced by the cap
+    for scale in (1e7, 1e-7):
+        scaled_ks, scaled_beta, _ = _hourly_backtest(scale=scale)
+        assert scaled_ks == ks, scale
+        assert abs(scaled_beta - beta_mean) <= math.ulp(beta_mean), scale
+
+
+def test_hourly_serve_is_shift_invariant():
+    ks, _, buy_slots = _hourly_backtest()
+    shifted_ks, _, shifted_slots = _hourly_backtest(shift=1e3)
+    assert shifted_ks == ks
+    assert np.array_equal(shifted_slots, buy_slots)
 
 
 def test_estimator_validation():

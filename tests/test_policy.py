@@ -14,7 +14,6 @@ from gridstash.data_io import load_trace_from_values, price_trace_from_values
 from gridstash.decomposition import decompose, verify_feasible
 from gridstash.distributions import (
     DiscreteDistribution,
-    PointMass,
     UniformDistribution,
 )
 from gridstash.errors import LengthMismatchError
@@ -24,7 +23,6 @@ from gridstash.policy import (
     compute_thresholds_iid,
     compute_thresholds_timevarying,
     decisions_to_csv,
-    expected_policy_cost_iid,
     run_policy,
     simulate_one_shot_matrix,
 )
@@ -89,11 +87,17 @@ def test_timevarying_uses_the_following_slots_law():
     assert sched.thresholds[0] == pytest.approx(11.0)
 
 
+def expected_policy_cost(dist, horizon: int) -> float:
+    # slot 0's threshold in a window of horizon + 1 slots is the expected
+    # price of continuing optimally, i.e. of the policy over horizon slots
+    return compute_thresholds_iid(dist, horizon + 1).thresholds[0]
+
+
 def test_expected_policy_cost_uniform_three_slots():
-    assert expected_policy_cost_iid(U01, 3) == pytest.approx(0.3046875, abs=1e-15)
-    assert expected_policy_cost_iid(U01, 1) == pytest.approx(0.5)
+    assert expected_policy_cost(U01, 3) == pytest.approx(0.3046875, abs=1e-15)
+    assert expected_policy_cost(U01, 1) == pytest.approx(0.5)
     # one more slot never hurts
-    costs = [expected_policy_cost_iid(U01, t) for t in range(1, 9)]
+    costs = [expected_policy_cost(U01, t) for t in range(1, 9)]
     assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
 
 
@@ -104,7 +108,7 @@ def test_expected_policy_cost_matches_path_enumeration():
             enumerated = oracles.enumerate_policy_expected_cost(
                 dist.values, dist.probs, sched
             )
-            assert expected_policy_cost_iid(dist, horizon) == pytest.approx(
+            assert expected_policy_cost(dist, horizon) == pytest.approx(
                 enumerated, abs=1e-12
             )
 
@@ -149,7 +153,7 @@ def test_matrix_simulation_matches_scalar_serve():
 
 
 def test_point_mass_prices_buy_immediately():
-    sched = compute_thresholds_iid(PointMass(4.0), 6)
+    sched = compute_thresholds_iid(DiscreteDistribution([4.0], [1.0]), 6)
     # threshold equals the price itself, so the first slot always triggers
     _, offsets = simulate_one_shot_matrix([[4.0] * 6], sched)
     assert offsets.tolist() == [0]
@@ -174,9 +178,10 @@ def test_run_policy_dispatch_is_feasible_and_costs_agree():
         )
         capacity = float(rng.uniform(0.0, 5.0))
         result = run_policy(prices, load, capacity, ConstantSource(U01))
-        assert verify_feasible(result.schedule, load, capacity)
+        assert verify_feasible(result.schedule, load, capacity).ok
+        dispatch = result.schedule
         assert result.total_cost == pytest.approx(
-            result.schedule.cost(prices.values), abs=1e-9
+            float(np.dot(dispatch.direct + dispatch.charge, prices.values)), abs=1e-9
         )
 
 
@@ -187,7 +192,7 @@ def test_run_policy_feasible_at_large_demand_magnitude():
     prices = synth_prices(24 * 7, 2)
     capacity = 0.5 * float(load.values.max())
     result = run_policy(prices, load, capacity, ConstantSource(U01))
-    assert verify_feasible(result.schedule, load, capacity)
+    assert verify_feasible(result.schedule, load, capacity).ok
     assert math.fsum(r.quantity for r in result.records) == pytest.approx(
         float(load.values.sum()), rel=1e-12
     )
@@ -284,7 +289,7 @@ def test_decisions_csv_round_trips_inf_thresholds(tmp_path):
 def test_expected_cost_below_single_slot_mean():
     for dist in (U01, THREE_ATOM):
         for horizon in (2, 5, 10):
-            assert expected_policy_cost_iid(dist, horizon) < dist.mean() + 1e-15
+            assert expected_policy_cost(dist, horizon) < dist.mean() + 1e-15
 
 
 def test_records_hold_python_numbers(tmp_path):
