@@ -4,9 +4,10 @@ Subcommands: fit (EM+BIC sweep on a price trace), backtest (train/test policy
 evaluation), montecarlo (one-shot regret or general serving studies), size
 (capacity curve and economic capacity), synth (seeded synthetic traces).
 
-Options may come from a JSON config file (--config) with flags taking
-precedence; --reproducible drops timestamps from outputs so identical inputs
-give identical bytes.
+Options may come from a JSON config file (--config): its values become
+command-line tokens placed before the real flags, so one parser checks both
+and a flag wins. --reproducible drops timestamps from outputs so identical
+inputs give identical bytes.
 
 Exit codes: 0 success, 2 bad input, 3 fit failure, 4 experiment failure.
 """
@@ -14,7 +15,6 @@ Exit codes: 0 success, 2 bad input, 3 fit failure, 4 experiment failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime
@@ -31,6 +31,7 @@ from .data_io import (
     save_load_trace,
     save_price_trace,
     split_train_test,
+    write_csv,
 )
 from .distributions import GmmDistribution
 from .errors import (
@@ -55,30 +56,43 @@ from .evaluation import (
 from .heuristics import Variant, estimator_to_json_dict, fit_estimator, save_estimator
 from .policy import decisions_to_csv
 from .sizing import curve_to_csv, min_cost_curve, optimal_capacity
-from .synth import DEFAULT_PRICE_MODEL, shift_model, synth_load, synth_prices
+from .synth import DEFAULT_PEAK_HOURS, DEFAULT_PRICE_MODEL, shift_model, synth_load, synth_prices
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The options of a JSON config file as command-line tokens for ``parser``.
+
+    A key is an option's name with underscores (``k_max`` for ``--k-max``).
+    null means "not given", and true/false turn a switch such as --bound on or
+    off. Keys that name no option of the subcommand are skipped, so one file
+    can serve several subcommands.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return doc
+    tokens = []
+    for action in parser._actions:
+        value = doc.get(action.dest)
+        if value is None or action.dest in ("help", "config"):
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise ValueError(f"{path}: {action.dest} must be true, false or null, got {value!r}")
+        elif value:
+            tokens.append(flag)
+    return tokens
 
 
-def _resolve(args, config: dict, key: str, default=None, required: bool = False):
-    """A flag wins over the config file, which wins over the default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    return value
+def _require(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _out_dir(args, config) -> Path:
-    out = Path(_resolve(args, config, "out", required=True))
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -89,90 +103,80 @@ def _write_json(path: Path, doc: dict, reproducible: bool) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+def _comma_list(cast, what: str):
+    """An argparse type for comma-separated values, each read by ``cast``."""
 
+    def parse(text: str) -> list:
+        try:
+            return [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            message = f"expected comma-separated {what}, got {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in str(text).split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+    return parse
 
 
 def _parse_hours(text: str) -> frozenset[int]:
     """Hour sets come as '17-20' ranges or '17,18,19' lists (or a mix)."""
     hours: set[int] = set()
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo_text, hi_text = part.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise ValueError(f"bad hour range {part!r}")
-            hours.update(range(lo, hi + 1))
-        else:
-            hours.add(int(part))
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo_text, _, hi_text = part.partition("-")
+        try:
+            lo, hi = int(lo_text), int(hi_text or lo_text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad hour {part!r}") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"bad hour range {part!r}")
+        hours.update(range(lo, hi + 1))
     if not hours or any(not 0 <= h < HOURS_PER_DAY for h in hours):
-        raise ValueError(f"hours must lie in 0..23, got {text!r}")
+        raise argparse.ArgumentTypeError(f"hours must lie in 0..23, got {text!r}")
     return frozenset(hours)
 
 
-def _em_config(args, config) -> gmm.EmConfig:
-    return gmm.EmConfig(
-        tol=float(_resolve(args, config, "tol", 1e-6)),
-        max_iter=int(_resolve(args, config, "max_iter", 500)),
-        init_seed=int(_resolve(args, config, "seed", 0)),
-    )
+def _em_config(args) -> gmm.EmConfig:
+    return gmm.EmConfig(tol=args.tol, max_iter=args.max_iter, init_seed=args.seed)
 
 
-def _resolve_capacity(args, config, load) -> float:
-    capacity = _resolve(args, config, "capacity")
-    fraction = _resolve(args, config, "capacity_fraction")
-    if (capacity is None) == (fraction is None):
+def _price_model(path: str | None) -> gmm.GmmModel:
+    return DEFAULT_PRICE_MODEL if path is None else gmm.load_model(path)
+
+
+def _capacity(args, load) -> float:
+    if (args.capacity is None) == (args.capacity_fraction is None):
         raise ValueError("give exactly one of --capacity / --capacity-fraction")
-    if capacity is not None:
-        return float(capacity)
+    if args.capacity is not None:
+        return args.capacity
     # fraction of the trace's peak hourly demand, full trace so the value
     # does not move when the train/test split does
-    return float(fraction) * float(load.values.max())
+    return args.capacity_fraction * float(load.values.max())
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    prices = load_price_trace(_resolve(args, config, "prices", required=True))
-    k_max = int(_resolve(args, config, "k_max", 8))
-    out = _out_dir(args, config)
-    (sel,) = gmm.select_models([prices.values], [k_max], [_em_config(args, config)])
+    _require(args, "prices", "out")
+    prices = load_price_trace(args.prices)
+    out = _out_dir(args.out)
+    (sel,) = gmm.select_models([prices.values], [args.k_max], [_em_config(args)])
     best = sel.best
     gmm.save_model(best.model, out / "model.json")
-    with open(out / "bic.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ("K", "n_params", "log_likelihood", "bic", "iterations", "converged", "error", "selected")
-        )
-        for row in sel.candidates:
-            if row.report is None:
-                writer.writerow((row.n_components, "", "", "", "", "", row.error, 0))
-            else:
-                rep = row.report
-                writer.writerow(
-                    (
-                        row.n_components,
-                        gmm.n_free_params(row.n_components),
-                        repr(rep.log_likelihood),
-                        repr(rep.bic),
-                        rep.iterations,
-                        int(rep.converged),
-                        "",
-                        int(rep is best),
-                    )
-                )
+    write_csv(
+        out / "bic.csv",
+        ("K", "n_params", "log_likelihood", "bic", "iterations", "converged", "error", "selected"),
+        (
+            (row.n_components, "", "", "", "", "", row.error, 0)
+            if row.report is None
+            else (
+                row.n_components,
+                gmm.n_free_params(row.n_components),
+                repr(row.report.log_likelihood),
+                repr(row.report.bic),
+                row.report.iterations,
+                int(row.report.converged),
+                "",
+                int(row.report is best),
+            )
+            for row in sel.candidates
+        ),
+    )
     _write_json(
         out / "fit_report.json",
         {
@@ -182,7 +186,7 @@ def cmd_fit(args) -> int:
             "iterations": best.iterations,
             "converged": best.converged,
             "n_samples": best.n_samples,
-            "config": {"k_max": k_max, "seed": int(_resolve(args, config, "seed", 0))},
+            "config": {"k_max": args.k_max, "seed": args.seed},
         },
         args.reproducible,
     )
@@ -191,31 +195,28 @@ def cmd_fit(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    config = _load_config(args.config)
-    prices = load_price_trace(_resolve(args, config, "prices", required=True))
-    load = load_load_trace(_resolve(args, config, "loads", required=True))
+    _require(args, "prices", "loads", "train_days", "out")
+    prices = load_price_trace(args.prices)
+    load = load_load_trace(args.loads)
     ensure_aligned(prices, load)
-    train_days = int(_resolve(args, config, "train_days", required=True))
-    variant = Variant(_resolve(args, config, "variant", "single"))
-    quantile = _resolve(args, config, "quantile")
-    capacity = _resolve_capacity(args, config, load)
-    out = _out_dir(args, config)
+    capacity = _capacity(args, load)
+    out = _out_dir(args.out)
 
-    price_split = split_train_test(prices, train_days)
-    load_split = split_train_test(load, train_days)
+    price_split = split_train_test(prices, args.train_days)
+    load_split = split_train_test(load, args.train_days)
     estimator = fit_estimator(
         price_split.train,
-        variant,
-        max_components=int(_resolve(args, config, "k_max", 8)),
-        config=_em_config(args, config),
-        quantile=None if quantile is None else float(quantile),
+        args.variant,
+        max_components=args.k_max,
+        config=_em_config(args),
+        quantile=args.quantile,
     )
     points, summary = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator)
     scored = beta_summary(points)
     doc = {
         "config": {
-            "variant": variant.value,
-            "train_days": train_days,
+            "variant": args.variant.value,
+            "train_days": args.train_days,
             "capacity": capacity,
             "train_slots": len(price_split.train),
             "test_slots": len(price_split.test),
@@ -241,51 +242,36 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    config = _load_config(args.config)
-    mode = _resolve(args, config, "mode", "one-shot")
-    seed = int(_resolve(args, config, "seed", 0))
-    model_path = _resolve(args, config, "model")
-    model = DEFAULT_PRICE_MODEL if model_path is None else gmm.load_model(model_path)
-    dist = GmmDistribution(model)
-    out = _out_dir(args, config)
-    if mode == "one-shot":
-        horizons = _parse_ints(_resolve(args, config, "horizons", "2,4,8,16,32"))
-        runs = int(_resolve(args, config, "runs", 10000))
+    _require(args, "out")
+    dist = GmmDistribution(_price_model(args.model))
+    out = _out_dir(args.out)
+    if args.mode == "one-shot":
         report = one_shot_regret_study(
-            dist, horizons, runs, seed, include_bound=bool(args.bound)
+            dist, args.horizons, args.runs, args.seed, include_bound=args.bound
         )
         gamma_to_csv(report, out / "gamma.csv")
-    elif mode == "general":
-        days = int(_resolve(args, config, "days", 30))
-        load = synth_load(days * HOURS_PER_DAY, seed=seed + 1)
-        if (
-            _resolve(args, config, "capacity") is None
-            and _resolve(args, config, "capacity_fraction") is None
-        ):
+    else:
+        load = synth_load(args.days * HOURS_PER_DAY, seed=args.seed + 1)
+        if args.capacity is None and args.capacity_fraction is None:
             capacity = 0.1 * float(load.values.max())
         else:
-            capacity = _resolve_capacity(args, config, load)
-        report = general_serving_study(dist, load, capacity, seed)
+            capacity = _capacity(args, load)
+        report = general_serving_study(dist, load, capacity, args.seed)
         beta_to_csv(report.beta_points, out / "beta.csv")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     _write_json(out / "report.json", report_to_json_dict(report), args.reproducible)
-    print(f"montecarlo {mode}: {report.summary} -> {out}")
+    print(f"montecarlo {args.mode}: {report.summary} -> {out}")
     return 0
 
 
 def cmd_size(args) -> int:
-    config = _load_config(args.config)
-    prices = load_price_trace(_resolve(args, config, "prices", required=True))
-    load = load_load_trace(_resolve(args, config, "loads", required=True))
+    _require(args, "prices", "loads", "out")
+    prices = load_price_trace(args.prices)
+    load = load_load_trace(args.loads)
     ensure_aligned(prices, load)
-    grid_text = _resolve(args, config, "grid")
-    if grid_text is not None:
-        grid = _parse_floats(grid_text)
-    else:
-        points = int(_resolve(args, config, "grid_points", 11))
-        if points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {points}")
+    grid = args.grid
+    if grid is None:
+        if args.grid_points < 2:
+            raise ValueError(f"grid needs at least 2 points, got {args.grid_points}")
         # saturate around the biggest single day's demand: beyond that,
         # extra capacity cannot move any purchase window further
         days = (len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
@@ -293,18 +279,17 @@ def cmd_size(args) -> int:
             float(load.values[d * HOURS_PER_DAY : (d + 1) * HOURS_PER_DAY].sum())
             for d in range(days)
         ]
-        grid = list(np.linspace(0.0, max(max(daily), 1.0), points))
+        grid = list(np.linspace(0.0, max(max(daily), 1.0), args.grid_points))
     curve = min_cost_curve(prices, load, grid)
-    out = _out_dir(args, config)
+    out = _out_dir(args.out)
     curve_to_csv(curve, out / "curve.csv")
     doc: dict = {
         "grid": list(curve.capacities),
         "min_cost": list(curve.costs),
         "marginal_saving": list(curve.marginal_savings()),
     }
-    price = _resolve(args, config, "amortized_price")
-    if price is not None:
-        result = optimal_capacity(curve, float(price))
+    if args.amortized_price is not None:
+        result = optimal_capacity(curve, args.amortized_price)
         doc["chosen"] = {
             "capacity": result.capacity,
             "amortized_price": result.amortized_price,
@@ -318,45 +303,55 @@ def cmd_size(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    kind = _resolve(args, config, "kind", required=True)
-    hours = int(_resolve(args, config, "hours", 24 * 28))
-    seed = int(_resolve(args, config, "seed", 0))
-    out = Path(_resolve(args, config, "out", required=True))
+    _require(args, "kind", "out")
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if kind == "price":
-        model_path = _resolve(args, config, "model")
-        model = DEFAULT_PRICE_MODEL if model_path is None else gmm.load_model(model_path)
-        shiftext = _resolve(args, config, "peak_shift")
-        peak_model = None
-        peak_hours = _parse_hours(_resolve(args, config, "peak_hours", "17-20"))
-        if shiftext is not None and float(shiftext) != 0.0:
-            peak_model = shift_model(model, float(shiftext))
-        trace = synth_prices(hours, seed, model=model, peak_model=peak_model, peak_hours=peak_hours)
-        save_price_trace(trace, out)
-    elif kind == "load":
-        trace = synth_load(
-            hours,
-            seed,
-            base=float(_resolve(args, config, "base", 1.0)),
-            amplitude=float(_resolve(args, config, "amplitude", 1.0)),
-            peak_hour=int(_resolve(args, config, "peak_hour", 18)),
-            noise=float(_resolve(args, config, "noise", 0.1)),
+    if args.kind == "price":
+        model = _price_model(args.model)
+        peak_model = shift_model(model, args.peak_shift) if args.peak_shift else None
+        trace = synth_prices(
+            args.hours, args.seed, model=model, peak_model=peak_model, peak_hours=args.peak_hours
         )
-        save_load_trace(trace, out)
+        save_price_trace(trace, out)
     else:
-        raise ValueError(f"unknown synth kind {kind!r}")
-    print(f"wrote {hours} hours of {kind} to {out}")
+        # options left out keep synth_load's own defaults
+        names = ("base", "amplitude", "peak_hour", "noise")
+        shape = {k: v for k in names if (v := getattr(args, k)) is not None}
+        save_load_trace(synth_load(args.hours, args.seed, **shape), out)
+    print(f"wrote {args.hours} hours of {args.kind} to {out}")
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--seed", type=int, help="seed for every random draw")
+    parser.add_argument("--seed", type=int, default=0, help="seed for every random draw")
     parser.add_argument(
         "--reproducible",
         action="store_true",
         help="omit timestamps so identical inputs give identical outputs",
+    )
+    parser.set_defaults(parser=parser)
+
+
+def _add_em(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k-max", type=int, default=8, help="largest component count per fit")
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=gmm.EmConfig.tol,
+        help="EM convergence tolerance: mean log-likelihood gain per sample",
+    )
+    parser.add_argument(
+        "--max-iter", type=int, default=gmm.EmConfig.max_iter, help="EM iteration cap"
+    )
+
+
+def _add_capacity(parser: argparse.ArgumentParser, scope: str = "") -> None:
+    parser.add_argument("--capacity", type=float, help=f"storage capacity (energy units){scope}")
+    parser.add_argument(
+        "--capacity-fraction",
+        type=float,
+        help=f"capacity as a fraction of peak hourly demand{scope}",
     )
 
 
@@ -370,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="EM+BIC mixture sweep over a price trace")
     _add_common(p)
     p.add_argument("--prices", help="price trace CSV")
-    p.add_argument("--k-max", dest="k_max", type=int, help="largest component count to try")
-    p.add_argument("--tol", type=float, help="EM convergence tolerance: mean log-likelihood gain per sample")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="EM iteration cap")
+    _add_em(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_fit)
 
@@ -381,40 +374,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", help="price trace CSV")
     p.add_argument("--loads", help="load trace CSV")
     p.add_argument(
-        "--variant", choices=[v.value for v in Variant], help="estimator granularity"
+        "--variant",
+        type=Variant,
+        choices=[v.value for v in Variant],
+        default=Variant.SINGLE,
+        help="estimator granularity",
     )
-    p.add_argument("--train-days", dest="train_days", type=int, help="whole days of training data")
-    p.add_argument("--capacity", type=float, help="storage capacity (energy units)")
-    p.add_argument(
-        "--capacity-fraction",
-        dest="capacity_fraction",
-        type=float,
-        help="capacity as a fraction of peak hourly demand",
-    )
-    p.add_argument("--k-max", dest="k_max", type=int, help="largest component count per fit")
+    p.add_argument("--train-days", type=int, help="whole days of training data")
+    _add_capacity(p)
+    _add_em(p)
     p.add_argument("--quantile", type=float, help="peak threshold quantile for peak-offpeak")
-    p.add_argument("--tol", type=float, help="EM convergence tolerance: mean log-likelihood gain per sample")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="EM iteration cap")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("montecarlo", help="seeded policy-vs-hindsight studies")
     _add_common(p)
-    p.add_argument("--mode", choices=["one-shot", "general"], help="study family")
+    p.add_argument(
+        "--mode", choices=["one-shot", "general"], default="one-shot", help="study family"
+    )
     p.add_argument("--model", help="mixture JSON for the price law (default: built-in)")
-    p.add_argument("--horizons", help="comma-separated window lengths (one-shot mode)")
-    p.add_argument("--runs", type=int, help="simulated windows per horizon (one-shot mode)")
+    p.add_argument(
+        "--horizons",
+        type=_comma_list(int, "integers"),
+        default="2,4,8,16,32",
+        help="comma-separated window lengths (one-shot mode)",
+    )
+    p.add_argument(
+        "--runs", type=int, default=10000, help="simulated windows per horizon (one-shot mode)"
+    )
     p.add_argument(
         "--bound", action="store_true", help="also compute the shape bound (one-shot mode)"
     )
-    p.add_argument("--days", type=int, help="days of synthetic load (general mode)")
-    p.add_argument("--capacity", type=float, help="storage capacity (general mode)")
-    p.add_argument(
-        "--capacity-fraction",
-        dest="capacity_fraction",
-        type=float,
-        help="capacity as a fraction of peak hourly demand (general mode)",
-    )
+    p.add_argument("--days", type=int, default=30, help="days of synthetic load (general mode)")
+    _add_capacity(p, " (general mode)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_montecarlo)
 
@@ -422,13 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--prices", help="price trace CSV")
     p.add_argument("--loads", help="load trace CSV")
-    p.add_argument("--grid", help="comma-separated capacities")
-    p.add_argument("--grid-points", dest="grid_points", type=int, help="auto grid size")
+    p.add_argument("--grid", type=_comma_list(float, "numbers"), help="comma-separated capacities")
+    p.add_argument("--grid-points", type=int, default=11, help="auto grid size")
     p.add_argument(
-        "--amortized-price",
-        dest="amortized_price",
-        type=float,
-        help="per-unit capacity price to select against",
+        "--amortized-price", type=float, help="per-unit capacity price to select against"
     )
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_size)
@@ -436,19 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a seeded synthetic trace CSV")
     _add_common(p)
     p.add_argument("--kind", choices=["price", "load"], help="what to generate")
-    p.add_argument("--hours", type=int, help="trace length in hours")
+    p.add_argument("--hours", type=int, default=24 * 28, help="trace length in hours")
     p.add_argument("--out", help="output CSV file")
     p.add_argument("--model", help="mixture JSON for prices (default: built-in)")
     p.add_argument(
-        "--peak-shift",
-        dest="peak_shift",
-        type=float,
-        help="mean shift applied during peak hours (price kind)",
+        "--peak-shift", type=float, help="mean shift applied during peak hours (price kind)"
     )
-    p.add_argument("--peak-hours", dest="peak_hours", help="peak hours, e.g. 17-20")
+    p.add_argument(
+        "--peak-hours",
+        type=_parse_hours,
+        default=DEFAULT_PEAK_HOURS,
+        help="peak hours, e.g. 17-20",
+    )
     p.add_argument("--base", type=float, help="baseline demand (load kind)")
     p.add_argument("--amplitude", type=float, help="daily bump height (load kind)")
-    p.add_argument("--peak-hour", dest="peak_hour", type=int, help="bump center (load kind)")
+    p.add_argument("--peak-hour", type=int, help="bump center (load kind)")
     p.add_argument("--noise", type=float, help="uniform noise width (load kind)")
     p.set_defaults(func=cmd_synth)
 
@@ -456,9 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # the config's tokens go before the real flags, which argparse
+            # lets win because it keeps the last value of an option
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.parser, args.config)
+            args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
         return args.func(args)
     except (
         TraceParseError,
@@ -467,7 +465,6 @@ def main(argv=None) -> int:
         AlignmentError,
         ValueError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

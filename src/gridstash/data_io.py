@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -192,17 +193,22 @@ def load_load_trace(path) -> LoadTrace:
     return _rows_to_trace(_read_rows(path, _LOAD_HEADER), LoadTrace)
 
 
-def _write_trace(trace: HourlyTrace, path, header: tuple[str, str]) -> None:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then every row in one ``writerows`` call."""
+    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        ts = trace.start
-        hour = timedelta(hours=1)
-        for value in trace.values:
-            # repr() keeps the shortest round-trip form so load(save(x)) == x.
-            writer.writerow((ts.isoformat(timespec="minutes"), repr(float(value))))
-            ts += hour
+        writer.writerows(rows)
+
+
+def _write_trace(trace: HourlyTrace, path, header: tuple[str, str]) -> None:
+    hour = timedelta(hours=1)
+    # repr() keeps the shortest round-trip form so load(save(x)) == x.
+    rows = (
+        ((trace.start + i * hour).isoformat(timespec="minutes"), repr(float(value)))
+        for i, value in enumerate(trace.values)
+    )
+    write_csv(path, header, rows)
 
 
 def save_price_trace(trace: PriceTrace, path) -> None:

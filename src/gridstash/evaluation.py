@@ -17,15 +17,13 @@ simulations must reproduce.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned
+from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned, write_csv
 from .decomposition import Pieces, decompose
 from .distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from .errors import (
@@ -476,20 +474,18 @@ def beta_rows(points: Sequence[BetaPoint]) -> list[dict]:
 
 
 def gamma_to_csv(report: ExperimentReport, path) -> None:
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("T", "gamma_mean", "gamma_ci_lo", "gamma_ci_hi"))
-        for pt in report.gamma_points:
-            writer.writerow(
-                (pt.horizon, repr(pt.gamma), repr(pt.gamma_ci_lo), repr(pt.gamma_ci_hi))
-            )
+    write_csv(
+        path,
+        ("T", "gamma_mean", "gamma_ci_lo", "gamma_ci_hi"),
+        (
+            (pt.horizon, repr(pt.gamma), repr(pt.gamma_ci_lo), repr(pt.gamma_ci_hi))
+            for pt in report.gamma_points
+        ),
+    )
 
 
 def beta_to_csv(points: Sequence[BetaPoint], path) -> None:
     """Write the days that have a ratio as (day, beta) rows."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("day", "beta"))
-        for pt in points:
-            if pt.beta is not None:
-                writer.writerow((pt.day, repr(pt.beta)))
+    write_csv(
+        path, ("day", "beta"), ((pt.day, repr(pt.beta)) for pt in points if pt.beta is not None)
+    )

@@ -133,9 +133,14 @@ def fit_estimator(
     or no off-peak hours) collapses it to one pooled model. Every sub-model
     then runs the EM sweep with BIC selection on the prices of its hours,
     seeded from the config seed and its key so results do not depend on fit
-    order; the sub-models are fitted together, one EM lane per group.
+    order; the sub-models are fitted together, one EM lane per group. Only
+    peak-offpeak takes a quantile.
     """
     variant = Variant(variant)
+    if max_components < 1:
+        raise ValueError(f"max_components must be >= 1, got {max_components}")
+    if quantile is not None and variant is not Variant.PEAK_OFFPEAK:
+        raise ValueError(f"quantile applies only to peak-offpeak, not to {variant.value}")
     labeling = None
     if variant is Variant.SINGLE:
         hour_index, keys = (0,) * HOURS_PER_DAY, [(0,)]
@@ -164,7 +169,7 @@ def fit_estimator(
         tuple(sel.best.model for sel in sels),
         hour_index,
         labeling=labeling,
-        quantile=None if labeling is None else quantile,
+        quantile=quantile,
         fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
     )
 

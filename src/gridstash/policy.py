@@ -10,16 +10,14 @@ or below its threshold.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_io import LoadTrace, PriceTrace, ensure_aligned
+from .data_io import LoadTrace, PriceTrace, ensure_aligned, write_csv
 from .decomposition import (
     DispatchSchedule,
     decompose,
@@ -203,9 +201,8 @@ def decisions_to_csv(result: SimulationResult, path) -> None:
         map(repr, rec.threshold.tolist()),
         rec.forced.astype(int).tolist(),
     )
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ("piece_id", "quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced")
-        )
-        writer.writerows(rows)
+    write_csv(
+        path,
+        ("piece_id", "quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced"),
+        rows,
+    )

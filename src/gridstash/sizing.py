@@ -10,13 +10,11 @@ amortized capacity price per unit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from .data_io import LoadTrace, PriceTrace, ensure_aligned
+from .data_io import LoadTrace, PriceTrace, ensure_aligned, write_csv
 from .decomposition import decompose
 from .evaluation import WindowMinima, offline_cost
 
@@ -117,8 +115,11 @@ def optimal_capacity(curve: SizingCurve, amortized_price: float) -> SizingResult
 def curve_to_csv(curve: SizingCurve, path) -> None:
     """Rows of B, cost, and the saving rate of the segment starting at B."""
     marg = curve.marginal_savings()
-    with open(Path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("B", "min_cost", "marginal_saving"))
-        for i, (b, c) in enumerate(zip(curve.capacities, curve.costs)):
-            writer.writerow((repr(b), repr(c), repr(marg[i]) if i < len(marg) else ""))
+    write_csv(
+        path,
+        ("B", "min_cost", "marginal_saving"),
+        (
+            (repr(b), repr(c), repr(marg[i]) if i < len(marg) else "")
+            for i, (b, c) in enumerate(zip(curve.capacities, curve.costs))
+        ),
+    )

@@ -35,6 +35,14 @@ def run(*argv) -> int:
     return cli.main(list(argv))
 
 
+def exit_code(*argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def price_csv(tmp_path):
     path = tmp_path / "prices.csv"
@@ -238,6 +246,24 @@ def test_backtest_requires_exactly_one_capacity_flag(price_csv, load_csv, tmp_pa
     assert run(*base, "--capacity", "1.0", "--capacity-fraction", "0.1") == 2  # both
 
 
+def test_backtest_nonpositive_k_max_exits_2(price_csv, load_csv, tmp_path, capsys):
+    for k_max in ("0", "-3"):
+        assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+                   "--train-days", "21", "--capacity", "2.0", "--k-max", k_max,
+                   "--out", str(tmp_path / "o")) == 2
+        assert f"error: max_components must be >= 1, got {k_max}" in capsys.readouterr().err
+
+
+def test_backtest_quantile_needs_peak_offpeak(price_csv, load_csv, tmp_path, capsys):
+    for variant in ("single", "hourly"):
+        assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+                   "--train-days", "21", "--capacity", "2.0", "--variant", variant,
+                   "--quantile", "0.5", "--k-max", "2", "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantile applies only to peak-offpeak")
+        assert variant in err
+
+
 def test_backtest_misaligned_traces_exit_2(price_csv, tmp_path):
     short = tmp_path / "short.csv"
     assert run("synth", "--kind", "load", "--hours", "240", "--seed", "0",
@@ -360,6 +386,79 @@ def test_config_must_be_json_object(price_csv, tmp_path):
     cfg.write_text("{not json")
     assert run("fit", "--config", str(cfg), "--prices", str(price_csv),
                "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("fit", {"k_max": [3]}, "argument --k-max: invalid int value: '[3]'"),
+    ("fit", {"k_max": 2.7}, "argument --k-max: invalid int value: '2.7'"),
+    ("fit", {"prices": 5}, "error: [Errno 2] No such file or directory: '5'"),
+    ("backtest", {"variant": "weekly"}, "argument --variant: invalid Variant value: 'weekly'"),
+    ("montecarlo", {"bound": "yes"}, "bound must be true, false or null, got 'yes'"),
+], ids=["k_max-list", "k_max-float", "prices-number", "variant-unknown", "bound-string"])
+def test_bad_config_value_exits_2(price_csv, load_csv, tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = {
+        "fit": ["--prices", str(price_csv)],
+        "backtest": ["--prices", str(price_csv), "--loads", str(load_csv),
+                     "--train-days", "21", "--capacity", "2.0", "--k-max", "2"],
+        "montecarlo": ["--runs", "100"],
+    }[command]
+    if "prices" in config:
+        flags = []
+    assert exit_code(command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_config_switches_bound_and_reproducible(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bound": True, "reproducible": True, "runs": 100}))
+    out = tmp_path / "mc"
+    assert run("montecarlo", "--config", str(cfg), "--horizons", "2,4", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "created_at" not in report
+    assert all(row["bound"] is not None for row in report["gamma"])
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    if out.is_file():
+        return {"": out.read_bytes()}
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["fit", "backtest", "size", "montecarlo", "synth"])
+def test_config_file_and_flags_write_identical_bytes(price_csv, load_csv, tmp_path, capsys,
+                                                     command):
+    options = {
+        "fit": {"prices": str(price_csv), "k_max": 3, "tol": 1e-5, "max_iter": 80, "seed": 3},
+        "backtest": {"prices": str(price_csv), "loads": str(load_csv), "variant": "peak-offpeak",
+                     "train_days": 21, "capacity_fraction": 0.5, "k_max": 2, "quantile": 0.5,
+                     "seed": 1},
+        "size": {"prices": str(price_csv), "loads": str(load_csv), "grid": "0,1,2.5",
+                 "amortized_price": 3.0},
+        "montecarlo": {"mode": "one-shot", "horizons": "2,4", "runs": 200, "bound": True,
+                       "seed": 5},
+        "synth": {"kind": "load", "hours": 48, "base": 0.5, "amplitude": 2.0, "peak_hour": 7,
+                  "noise": 0.2, "seed": 3},
+    }[command]
+    options["reproducible"] = True
+    flags = []
+    for key, value in options.items():
+        flags += [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+    cfg = tmp_path / "cfg.json"
+    # null means "not given" and keys that name no option are skipped
+    cfg.write_text(json.dumps({**options, "capacity": None, "note": ["not an option"]}))
+    suffix = ".csv" if command == "synth" else ""
+    by_flags, by_config = tmp_path / f"flags{suffix}", tmp_path / f"config{suffix}"
+    capsys.readouterr()
+    assert run(command, *flags, "--out", str(by_flags)) == 0
+    printed_flags = capsys.readouterr().out.replace(str(by_flags), "OUT")
+    assert run(command, "--config", str(cfg), "--out", str(by_config)) == 0
+    printed_config = capsys.readouterr().out.replace(str(by_config), "OUT")
+    assert printed_flags == printed_config
+    assert _outputs(by_flags) == _outputs(by_config)
 
 
 def test_montecarlo_one_shot(tmp_path):
