@@ -116,6 +116,18 @@ def _comma_list(cast, what: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type for --seed: numpy seeds must be non-negative integers."""
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        message = f"expected a non-negative integer, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    return seed
+
+
 def _parse_hours(text: str) -> frozenset[int]:
     """Hour sets come as '17-20' ranges or '17,18,19' lists (or a mix)."""
     hours: set[int] = set()
@@ -324,7 +336,7 @@ def cmd_synth(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for every random draw")
     parser.add_argument(
         "--reproducible",
         action="store_true",

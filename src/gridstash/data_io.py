@@ -9,6 +9,7 @@ duplicated hours are hard errors, never silently interpolated.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -90,7 +91,7 @@ class LoadTrace(HourlyTrace):
         if np.any(self.values < 0):
             bad = int(np.argmax(self.values < 0))
             raise TraceValidationError(
-                f"negative demand {self.values[bad]!r} at slot {bad}"
+                f"negative demand {float(self.values[bad])!r} at slot {bad}"
             )
 
 
@@ -130,35 +131,33 @@ def _parse_value(text: str, name: str, lineno: int) -> float:
         value = float(text)
     except ValueError:
         raise TraceParseError(f"line {lineno}: bad {name} {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise TraceParseError(f"line {lineno}: {name} {text!r} is not finite")
     return value
 
 
 def _read_rows(path, header: tuple[str, str]) -> list[tuple[datetime, float]]:
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often lead with
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         first = next(reader, None)
         if first is None:
-            raise EmptyTraceError(f"{path}: file is empty")
+            raise EmptyTraceError("file is empty")
         got = tuple(cell.strip().lower() for cell in first)
         if got != header:
             raise TraceParseError(
-                f"{path}: expected header {','.join(header)!r}, got {','.join(first)!r}"
+                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
             )
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
             if len(cells) != 2:
-                raise TraceParseError(
-                    f"{path}: line {lineno}: expected 2 fields, got {len(cells)}"
-                )
+                raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(cells)}")
             ts = _parse_timestamp(cells[0], lineno)
             rows.append((ts, _parse_value(cells[1], header[1], lineno)))
     if not rows:
-        raise EmptyTraceError(f"{path}: no data rows")
+        raise EmptyTraceError("no data rows")
     return rows
 
 
@@ -183,14 +182,22 @@ def _rows_to_trace(rows: list[tuple[datetime, float]], cls):
     return cls(rows[0][0], values)
 
 
+def _load_trace(path, header: tuple[str, str], cls):
+    """Read and check one trace file; every trace error it raises names the file."""
+    try:
+        return _rows_to_trace(_read_rows(path, header), cls)
+    except (TraceParseError, TraceGapError, TraceValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_price_trace(path) -> PriceTrace:
     """Read an hourly price CSV; sorts rows, rejects gaps and duplicates."""
-    return _rows_to_trace(_read_rows(path, _PRICE_HEADER), PriceTrace)
+    return _load_trace(path, _PRICE_HEADER, PriceTrace)
 
 
 def load_load_trace(path) -> LoadTrace:
     """Read an hourly demand CSV; sorts rows, rejects gaps, duplicates, negatives."""
-    return _rows_to_trace(_read_rows(path, _LOAD_HEADER), LoadTrace)
+    return _load_trace(path, _LOAD_HEADER, LoadTrace)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientSamplesError
+from .errors import DegenerateFitError, GridstashError, InsufficientSamplesError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -223,7 +223,7 @@ def _log_densities(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.n
 def _exp_shifted(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite a with exp(a - max) along axis; return (sums, maxima), axis kept.
 
-    A non-finite maximum shifts by 0 instead, as scipy's logsumexp does, so a
+    A non-finite maximum shifts by 0 instead, as scipy.special's log-sum-exp does, so a
     slice that is all -inf sums to 0 and logs to -inf rather than NaN.
     """
     peak = a.max(axis=axis, keepdims=True)
@@ -238,12 +238,6 @@ def _exp_shifted(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def _log_of_sums(total: np.ndarray, peak: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(total) + peak
-
-
-def logsumexp(a, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along axis, computed max-shifted so nothing overflows."""
-    work = np.array(a, dtype=float)
-    return np.squeeze(_log_of_sums(*_exp_shifted(work, axis)), axis=axis)
 
 
 def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -294,27 +288,20 @@ def _finite_samples(samples) -> np.ndarray:
     return x
 
 
-def _too_few(n_samples: int, n_components: int) -> InsufficientSamplesError | None:
-    if n_samples < n_components:
-        return InsufficientSamplesError(
-            f"{n_samples} samples cannot support {n_components} components"
-        )
-    return None
-
-
-def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | DegenerateFitError]:
+def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | GridstashError]:
     """Run em_fit on every row of x (lanes, n) at once, one config per lane.
 
     Each lane keeps its own seed, sigma floor, trace, iteration count and
-    failure; a lane that converges, reaches its max_iter or degenerates
-    leaves the active set while the others carry on. Returns, per lane, its
-    report or the DegenerateFitError em_fit would raise.
+    failure; a lane that converges, reaches its max_iter, degenerates or
+    starves leaves the active set while the others carry on. Returns, per
+    lane, its report or the error em_fit would raise: InsufficientSamplesError
+    for every lane when n < n_components, else DegenerateFitError.
     """
     lanes, n = x.shape
     k = n_components
-    weights = np.empty((lanes, k))
-    means = np.empty((lanes, k))
-    stds = np.empty((lanes, k))
+    if n < k:
+        return [InsufficientSamplesError(f"{n} samples cannot support {k} components")] * lanes
+    weights, means, stds = (np.empty((lanes, k)) for _ in range(3))
     floors = np.empty(lanes)
     for g, config in enumerate(configs):
         floor = _SIGMA_FLOOR * float(x[g].std())
@@ -333,21 +320,6 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
     # leaving lanes shrink the prefix in use
     comp_buf = np.empty((lanes, k, n))
     work_buf = np.empty_like(comp_buf)
-
-    def report(i: int, log_lik: float, passes: int, converged: bool) -> FitReport:
-        # lane i of the current active set, before the set shrinks
-        ll_trace = trace[live[i], : passes + 1].copy()
-        ll_trace.setflags(write=False)
-        return FitReport(
-            model=make_model(weights[i], means[i], stds[i]),
-            log_likelihood=log_lik,
-            bic=bic(log_lik, n, n_free_params(k)),
-            iterations=passes,
-            converged=converged,
-            n_samples=n,
-            ll_trace=ll_trace,
-        )
-
     passes = 0
     while live.size:
         comp = _log_densities(x, weights, means, stds, comp_buf[: live.size])
@@ -356,15 +328,30 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
         if passes == trace.shape[1]:
             trace = np.concatenate([trace, np.empty_like(trace)], axis=1)
         trace[live, passes] = ll
+        # responsibilities; a lane with a non-finite log-likelihood leaves below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            comp /= total
+        resp_totals = comp.sum(axis=2)
         capped = max_iter == passes
         nonfinite = ~np.isfinite(ll)
         decreased = ll < prev - 1e-9
-        done = capped | nonfinite | decreased | (np.abs(ll - prev) < tol)
+        converged = np.abs(ll - prev) < tol
+        starved = resp_totals.min(axis=1) < _RESP_EPS
+        done = capped | nonfinite | decreased | converged | starved
+        # the first exit that applies wins: capped (reported, not converged),
+        # then non-finite, decreased, converged, starved
+        reported = capped | (converged & ~nonfinite & ~decreased)
         if done.any():
             for i in np.flatnonzero(done):
                 log_lik = float(ll[i])
-                if capped[i]:
-                    results[live[i]] = report(i, log_lik, passes, converged=False)
+                if reported[i]:
+                    ll_trace = trace[live[i], : passes + 1].copy()
+                    ll_trace.setflags(write=False)
+                    results[live[i]] = FitReport(
+                        make_model(weights[i], means[i], stds[i]), log_lik,
+                        bic(log_lik, n, n_free_params(k)), iterations=passes,
+                        converged=not capped[i], n_samples=n, ll_trace=ll_trace,
+                    )
                 elif nonfinite[i]:
                     results[live[i]] = DegenerateFitError(f"log-likelihood became {log_lik!r}")
                 elif decreased[i]:
@@ -372,23 +359,11 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Deg
                         f"log-likelihood decreased from {float(prev[i])!r} to {log_lik!r}"
                     )
                 else:
-                    results[live[i]] = report(i, log_lik, passes, converged=True)
+                    j = int(np.argmin(resp_totals[i]))
+                    results[live[i]] = DegenerateFitError(
+                        f"component {j} lost all responsibility (total {resp_totals[i, j]!r})"
+                    )
             keep = ~done
-            live, x, floors, tol, max_iter, ll, total = (
-                a[keep] for a in (live, x, floors, tol, max_iter, ll, total)
-            )
-            comp_buf[: live.size] = comp[keep]
-            comp = comp_buf[: live.size]
-        comp /= total
-        resp_totals = comp.sum(axis=2)
-        starved = resp_totals.min(axis=1) < _RESP_EPS
-        if starved.any():
-            for i in np.flatnonzero(starved):
-                j = int(np.argmin(resp_totals[i]))
-                results[live[i]] = DegenerateFitError(
-                    f"component {j} lost all responsibility (total {resp_totals[i, j]!r})"
-                )
-            keep = ~starved
             live, x, floors, tol, max_iter, ll, resp_totals = (
                 a[keep] for a in (live, x, floors, tol, max_iter, ll, resp_totals)
             )
@@ -414,17 +389,14 @@ def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitRepo
     the total log-likelihood moved by less than config.tol per sample since
     the previous pass, and otherwise applies one M-step (weighted mean,
     weighted variance around the new mean, weight = responsibility share).
-    Raises DegenerateFitError if a component starves, the likelihood stops
-    being finite, or it decreases beyond 1e-9.
+    Raises InsufficientSamplesError for fewer samples than components, and
+    DegenerateFitError if a component starves, the likelihood stops being
+    finite, or it decreases beyond 1e-9.
     """
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
-    x = _finite_samples(samples)
-    error = _too_few(x.size, n_components)
-    if error is not None:
-        raise error
-    result = _em_lanes(x[None, :], n_components, [config])[0]
-    if isinstance(result, DegenerateFitError):
+    result = _em_lanes(_finite_samples(samples)[None, :], n_components, [config])[0]
+    if isinstance(result, GridstashError):
         raise result
     return result
 
@@ -487,56 +459,48 @@ def select_models(groups, max_components, configs) -> list[Selection]:
     error, and a group whose every K fails re-raises its last error. A group
     stops early once _BIC_PATIENCE consecutive K, counted from its first
     successful fit, fail to beat its best BIC, so its candidates end at the
-    stopping K. Groups sharing a sample count and a cap are fitted together:
-    each K runs once for the bucket, with one EM lane per group still
-    sweeping; lanes are independent, so a group's rows do not depend on the
-    others.
+    stopping K. Groups sharing a sample count are fitted together: each K runs
+    once for the bucket, with one EM lane per group still sweeping; lanes are
+    independent, so a group's rows do not depend on the others.
     """
     xs = [_finite_samples(g) for g in groups]
     rows: list[list[CandidateFit]] = [[] for _ in xs]
     last_error: list[Exception | None] = [None] * len(xs)
-    buckets: dict[tuple[int, int], list[int]] = {}
+    best: list[FitReport | None] = [None] * len(xs)
+    misses = [0] * len(xs)
+    buckets: dict[int, list[int]] = {}
     for i, (x, cap) in enumerate(zip(xs, max_components)):
         if cap < 1:
             raise ValueError(f"max_components must be >= 1, got {cap}")
-        buckets.setdefault((x.size, cap), []).append(i)
-    best_bic = [math.inf] * len(xs)
-    misses = [0] * len(xs)
-    for (n, cap), members in buckets.items():
+        buckets.setdefault(x.size, []).append(i)
+    for members in buckets.values():
         stacked = np.stack([xs[i] for i in members])
-        for k in range(1, cap + 1):
-            error = _too_few(n, k)
-            if error is not None:
-                lane_results = [error] * len(members)
-            else:
-                lane_results = _em_lanes(stacked, k, [derive_config(configs[i], k) for i in members])
+        k = 0
+        while members:
+            k += 1
+            lane_results = _em_lanes(stacked, k, [derive_config(configs[i], k) for i in members])
             for i, result in zip(members, lane_results):
                 if isinstance(result, FitReport):
                     rows[i].append(CandidateFit(k, result, None))
-                    score = result.bic
+                    # strict, so of equal BICs the fit with fewer components stays
+                    if best[i] is None or result.bic < best[i].bic:
+                        best[i], misses[i] = result, 0
+                        continue
                 else:
                     rows[i].append(CandidateFit(k, None, str(result)))
                     last_error[i] = result
-                    score = math.inf
-                if score < best_bic[i]:
-                    best_bic[i] = score
-                    misses[i] = 0
-                elif best_bic[i] < math.inf:  # misses count from the first fit
+                if best[i] is not None:  # misses count from the first fit
                     misses[i] += 1
-            sweeping = [j for j, i in enumerate(members) if misses[i] < _BIC_PATIENCE]
+            sweeping = [
+                j for j, i in enumerate(members) if misses[i] < _BIC_PATIENCE and k < max_components[i]
+            ]
             if len(sweeping) < len(members):
                 members = [members[j] for j in sweeping]
                 stacked = stacked[sweeping]
-            if not members:
-                break
-    selections = []
-    for group_rows, error in zip(rows, last_error):
-        fits = [row.report for row in group_rows if row.report is not None]
-        if not fits:
+    for pick, error in zip(best, last_error):
+        if pick is None:
             raise error
-        # min keeps the first of equal BICs, and the rows are in K order
-        selections.append(Selection(tuple(group_rows), min(fits, key=lambda r: r.bic)))
-    return selections
+    return [Selection(tuple(group_rows), pick) for group_rows, pick in zip(rows, best)]
 
 
 def pdf(model: GmmModel, p) -> float | np.ndarray:

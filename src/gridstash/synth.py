@@ -74,6 +74,8 @@ def synth_load(
         raise ValueError("base, amplitude, and noise must all be >= 0")
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
+    if not 0 <= peak_hour < HOURS_PER_DAY:
+        raise ValueError(f"peak_hour must lie in 0..23, got {peak_hour}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     hod = hours_of_day(start, n_hours)
     # circular distance so the bump wraps cleanly around midnight

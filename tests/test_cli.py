@@ -202,6 +202,32 @@ def test_fit_gap_trace_exits_2(tmp_path):
     assert run("fit", "--prices", str(bad), "--out", str(tmp_path / "out")) == 2
 
 
+def test_backtest_load_gap_names_the_load_file(price_csv, tmp_path, capsys):
+    loads = tmp_path / "gappy_loads.csv"
+    loads.write_text("timestamp,demand\n2020-01-01T00:00,1.0\n2020-01-01T02:00,2.0\n")
+    assert run("backtest", "--prices", str(price_csv), "--loads", str(loads),
+               "--train-days", "21", "--capacity", "2.0", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {loads}: gap between 2020-01-01T00:00:00")
+    assert str(price_csv) not in err
+
+
+def test_synth_load_peak_hour_outside_the_day_exits_2(tmp_path, capsys):
+    out = tmp_path / "load.csv"
+    assert run("synth", "--kind", "load", "--hours", "24", "--peak-hour", "99",
+               "--out", str(out)) == 2
+    assert "peak_hour must lie in 0..23, got 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "backtest", "montecarlo", "size", "synth"])
+def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
+    assert exit_code(command, "--seed", "-1", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err
+
+
 def test_fit_degenerate_exits_3(price_csv, tmp_path, monkeypatch):
     def always_degenerate(x, n_components, configs):
         return [DegenerateFitError("forced by test") for _ in configs]

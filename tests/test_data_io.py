@@ -124,6 +124,37 @@ def test_negative_demand_rejected(tmp_path):
         load_trace_from_values([1.0, -2.0])
 
 
+@pytest.mark.parametrize("body, error, message", [
+    ("2020-01-01T00:00,1.0\n2020-01-01T02:00,2.0\n", TraceGapError, "gap between"),
+    ("2020-01-01T00:00,1.0\n2020-01-01T00:00,2.0\n", TraceGapError, "duplicate timestamp"),
+    ("2020-01-01T00:00Z,1.0\n2020-01-01T01:00,2.0\n", TraceParseError, "cannot mix"),
+    ("yesterday,1.0\n", TraceParseError, "line 2: bad timestamp"),
+    ("2020-01-01T00:30,1.0\n", TraceParseError, "not on an hour boundary"),
+    ("2020-01-01T00:00,abc\n", TraceParseError, "line 2: bad demand"),
+    ("2020-01-01T00:00,inf\n", TraceParseError, "is not finite"),
+    ("2020-01-01T00:00,1.0\n2020-01-01T01:00,-2.0\n", TraceValidationError,
+     "negative demand -2.0 at slot 1"),
+], ids=["gap", "duplicate", "mixed-tz", "bad-timestamp", "off-hour", "bad-value", "non-finite",
+        "negative"])
+def test_trace_errors_name_the_file_once(tmp_path, body, error, message):
+    path = write(tmp_path / "demand.csv", "timestamp,demand\n" + body)
+    with pytest.raises(error) as caught:
+        load_load_trace(path)
+    text = str(caught.value)
+    assert text.startswith(f"{path}: ") and text.count(str(path)) == 1
+    assert message in text
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    body = "timestamp,price\n2020-01-01T00:00,1.5\n2020-01-01T01:00,-2.0\n"
+    plain = load_price_trace(write(tmp_path / "plain.csv", body))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    trace = load_price_trace(marked)
+    assert trace.start == plain.start
+    assert trace.values.tolist() == plain.values.tolist()
+
+
 def test_empty_file_and_header_only(tmp_path):
     with pytest.raises(EmptyTraceError):
         load_price_trace(write(tmp_path / "a.csv", ""))

@@ -118,6 +118,9 @@ def test_load_validation():
         synth_load(24, seed=0, width=0.0)
     with pytest.raises(ValueError):
         synth_load(24, seed=0, noise=-0.1)
+    for peak_hour in (-1, 24):
+        with pytest.raises(ValueError, match=f"peak_hour must lie in 0..23, got {peak_hour}"):
+            synth_load(24, seed=0, peak_hour=peak_hour)
 
 
 def test_start_carries_through():
