@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime
 from pathlib import Path
 
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .evaluation import (
     beta_rows,
-    beta_summary,
     beta_to_csv,
     daily_cost_ratios,
     gamma_to_csv,
@@ -223,8 +223,8 @@ def cmd_backtest(args) -> int:
         config=_em_config(args),
         quantile=args.quantile,
     )
-    points, summary = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator)
-    scored = beta_summary(points)
+    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator)
+    summary = scores.summary
     doc = {
         "config": {
             "variant": args.variant.value,
@@ -235,20 +235,16 @@ def cmd_backtest(args) -> int:
         },
         "estimator": estimator_to_json_dict(estimator),
         "fits": list(estimator.fit_diagnostics),
-        "beta": beta_rows(points),
-        "summary": {
-            **scored,
-            "total_online": summary.total_online,
-            "total_offline": summary.total_offline,
-        },
+        "beta": beta_rows(scores.days),
+        "summary": summary,
     }
     _write_json(out / "report.json", doc, args.reproducible)
     save_estimator(estimator, out / "estimator.json")
-    decisions_to_csv(summary.result, out / "decisions.csv")
-    beta_to_csv(points, out / "beta.csv")
+    decisions_to_csv(scores.result, out / "decisions.csv")
+    beta_to_csv(scores.days, out / "beta.csv")
     print(
-        f"backtest: {len(points)} days, mean beta {scored['beta_mean']:.4f}, "
-        f"online {summary.total_online:.2f} vs offline {summary.total_offline:.2f} -> {out}"
+        f"backtest: {len(scores.days)} days, mean beta {summary['beta_mean']:.4f}, "
+        f"online {summary['total_online']:.2f} vs offline {summary['total_offline']:.2f} -> {out}"
     )
     return 0
 
@@ -302,11 +298,7 @@ def cmd_size(args) -> int:
     }
     if args.amortized_price is not None:
         result = optimal_capacity(curve, args.amortized_price)
-        doc["chosen"] = {
-            "capacity": result.capacity,
-            "amortized_price": result.amortized_price,
-            "cost_at_capacity": result.cost_at_capacity,
-        }
+        doc["chosen"] = asdict(result)
         print(f"size: B*={result.capacity} at amortized price {result.amortized_price} -> {out}")
     else:
         print(f"size: curve over {len(curve.capacities)} capacities -> {out}")

@@ -188,6 +188,9 @@ def _load_trace(path, header: tuple[str, str], cls):
         return _rows_to_trace(_read_rows(path, header), cls)
     except (TraceParseError, TraceGapError, TraceValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        # no line number: the decoder reads ahead in chunks
+        raise TraceParseError(f"{path}: file is not UTF-8 text") from None
 
 
 def load_price_trace(path) -> PriceTrace:

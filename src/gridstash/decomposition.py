@@ -168,20 +168,20 @@ def verify_feasible(
     schedule: DispatchSchedule,
     load: LoadTrace,
     capacity: float,
-    tol: float = 1e-9,
 ) -> FeasibilityReport:
     """Check nonnegativity, power balance, and storage bounds at every slot.
 
-    tol is relative: at slot t it is scaled by the cumulative demand level
-    D[t] + capacity (at least 1), the magnitude of the prefix sums that piece
-    quantities are cut from, so float rounding passes at any demand scale.
+    The slack is 1e-9 relative: at slot t it is scaled by the cumulative
+    demand level D[t] + capacity (at least 1), the magnitude of the prefix
+    sums that piece quantities are cut from, so float rounding passes at any
+    demand scale.
     Returns the first violated constraint rather than raising, so callers can
     report exactly where a schedule breaks: the earliest failing slot, and at
     that slot the first failing check in the order of ``_CHECKS``.
     """
     if len(schedule) != len(load):
         raise LengthMismatchError(f"{len(schedule)} schedule slots vs {len(load)} demand slots")
-    slack = tol * np.maximum(1.0, np.cumsum(load.values) + capacity)
+    slack = 1e-9 * np.maximum(1.0, np.cumsum(load.values) + capacity)
     direct, charge, discharge = schedule.direct, schedule.charge, schedule.discharge
     level = schedule.storage_level()
     failed = np.stack(

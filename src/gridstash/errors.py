@@ -71,7 +71,3 @@ class ZeroBetaSumError(GridstashError):
 
 class BoundDomainError(GridstashError):
     """Closed-form bound parameters leave the formula's domain."""
-
-
-class InstanceTooLargeError(GridstashError):
-    """An exhaustive oracle was asked to enumerate more states than its cap."""

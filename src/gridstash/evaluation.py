@@ -18,7 +18,7 @@ simulations must reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .decomposition import Pieces, decompose
 from .distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from .errors import (
     BoundDomainError,
-    InstanceTooLargeError,
     InsufficientDataError,
     NegativeSupportError,
     NonpositiveOptimumError,
@@ -43,8 +42,6 @@ from .policy import (
     run_policy,
     simulate_one_shot_matrix,
 )
-
-_ENUM_CAP = 1e7
 
 
 class WindowMinima:
@@ -204,10 +201,6 @@ def _check_support(values: np.ndarray, probs: np.ndarray, horizon: int) -> None:
         raise ValueError(f"probabilities sum to {float(probs.sum())!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if float(values.size) ** horizon > _ENUM_CAP:
-        raise InstanceTooLargeError(
-            f"{values.size}^{horizon} price paths exceed the enumeration cap {_ENUM_CAP:g}"
-        )
 
 
 def brute_force_expected_cost(values, probs, horizon: int) -> float:
@@ -242,25 +235,17 @@ class GammaPoint:
 
 
 @dataclass(frozen=True)
-class BetaPoint:
-    """One day's online-to-offline cost ratio; None when the day's hindsight
-    cost is not positive."""
-
-    day: int
-    online_cost: float
-    offline_cost: float
-    beta: float | None
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
-    """Everything a study produced, ready for JSON/CSV serialization."""
+    """Everything a study produced, ready for JSON/CSV serialization.
+
+    ``beta_points`` is the ``DailyScores.days`` table of a serving study.
+    """
 
     kind: str
     seed: int
     config: dict
     gamma_points: tuple[GammaPoint, ...] = ()
-    beta_points: tuple[BetaPoint, ...] = ()
+    beta_points: np.recarray | None = None
     summary: dict = field(default_factory=dict)
 
 
@@ -337,11 +322,17 @@ def one_shot_regret_study(
 
 
 @dataclass(frozen=True, eq=False)
-class SimulationSummary:
-    """Totals of one realized policy run, with the run itself attached."""
+class DailyScores:
+    """A realized policy run scored day by day against hindsight.
 
-    total_online: float
-    total_offline: float
+    ``days`` is a read-only record array with one row per day that has
+    costs and the fields day, online_cost, offline_cost and beta; beta is
+    NaN on a day whose hindsight cost is not positive. ``summary`` holds
+    beta_mean, beta_max, days_without_beta, total_online and total_offline.
+    """
+
+    days: np.recarray
+    summary: dict
     result: SimulationResult
 
 
@@ -350,60 +341,47 @@ def daily_cost_ratios(
     load: LoadTrace,
     capacity: float,
     source: DistributionSource,
-) -> tuple[tuple[BetaPoint, ...], SimulationSummary]:
+) -> DailyScores:
     """Run the policy on a realized trace and compare per-day against hindsight.
 
     Costs attribute to the calendar day of each piece's deadline, so online
     and offline aggregate the same piece set and every daily ratio is >= 1
     by construction. Days without demand are skipped. A day whose hindsight
     cost is zero or negative (negative prices) keeps its costs but has no
-    ratio: its ``beta`` is None.
+    ratio. The summary's mean and max cover the days with a ratio.
+
+    Raises InsufficientDataError when no day has a ratio (no demand, or only
+    days whose hindsight cost is not positive): there is nothing to score.
     """
     result = run_policy(prices, load, capacity, source)
     rec = result.records
     minima = WindowMinima(prices.values)(rec.t_start, rec.t_end)
     n_days = (load.start.hour + len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
-    days = (load.start.hour + rec.t_end) // HOURS_PER_DAY
+    day_of = (load.start.hour + rec.t_end) // HOURS_PER_DAY
     # bincount adds in piece order, the same sums as a per-piece loop
-    online = np.bincount(days, weights=rec.quantity * rec.price, minlength=n_days)
-    offline = np.bincount(days, weights=rec.quantity * minima, minlength=n_days)
-    points = []
-    for day in range(n_days):
-        if online[day] == 0.0 and offline[day] == 0.0:
-            continue
-        points.append(
-            BetaPoint(
-                day=day,
-                online_cost=float(online[day]),
-                offline_cost=float(offline[day]),
-                beta=float(online[day] / offline[day]) if offline[day] > 0 else None,
-            )
-        )
-    summary = SimulationSummary(
-        total_online=result.total_cost,
-        total_offline=float(offline.sum()),
-        result=result,
-    )
-    return tuple(points), summary
-
-
-def beta_summary(points: Sequence[BetaPoint]) -> dict:
-    """Mean and max of the daily ratios, and how many days with costs have none.
-
-    Raises InsufficientDataError when no day has a ratio (no demand, or only
-    days whose hindsight cost is not positive): there is nothing to score.
-    """
-    betas = [pt.beta for pt in points if pt.beta is not None]
-    if not betas:
+    online = np.bincount(day_of, weights=rec.quantity * rec.price, minlength=n_days)
+    offline = np.bincount(day_of, weights=rec.quantity * minima, minlength=n_days)
+    day = np.flatnonzero((online != 0.0) | (offline != 0.0))
+    scored = offline[day] > 0
+    beta = np.divide(online[day], offline[day], out=np.full(day.size, math.nan), where=scored)
+    if not scored.any():
         raise InsufficientDataError(
             f"no day has a positive hindsight cost to score against "
-            f"({len(points)} days with costs, none with a beta)"
+            f"({day.size} days with costs, none with a beta)"
         )
-    return {
-        "beta_mean": float(np.mean(betas)),
-        "beta_max": float(np.max(betas)),
-        "days_without_beta": len(points) - len(betas),
+    days = np.rec.fromarrays(
+        (day, online[day], offline[day], beta),
+        names=("day", "online_cost", "offline_cost", "beta"),
+    )
+    days.setflags(write=False)
+    summary = {
+        "beta_mean": float(np.mean(beta[scored])),
+        "beta_max": float(np.max(beta[scored])),
+        "days_without_beta": int(day.size - np.count_nonzero(scored)),
+        "total_online": result.total_cost,
+        "total_offline": float(offline.sum()),
     }
+    return DailyScores(days=days, summary=summary, result=result)
 
 
 def general_serving_study(
@@ -411,24 +389,18 @@ def general_serving_study(
     load: LoadTrace,
     capacity: float,
     seed: int,
-    source: DistributionSource | None = None,
 ) -> ExperimentReport:
-    """Draw one price realization per slot from ``dist``, serve the load, and
-    report daily online/offline ratios. ``source`` defaults to the true law."""
+    """Draw one price realization per slot from ``dist``, serve the load with
+    the policy that knows ``dist``, and report daily online/offline ratios."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     prices = PriceTrace(load.start, dist.sample(len(load), rng))
-    src = source if source is not None else ConstantSource(dist)
-    points, summary = daily_cost_ratios(prices, load, capacity, src)
+    scores = daily_cost_ratios(prices, load, capacity, ConstantSource(dist))
     return ExperimentReport(
         kind="general_serving",
         seed=seed,
         config={"capacity": float(capacity), "n_slots": len(load)},
-        beta_points=points,
-        summary={
-            **beta_summary(points),
-            "total_online": summary.total_online,
-            "total_offline": summary.total_offline,
-        },
+        beta_points=scores.days,
+        summary=scores.summary,
     )
 
 
@@ -440,36 +412,26 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
         "summary": report.summary,
     }
     if report.gamma_points:
-        doc["gamma"] = [
-            {
-                "T": pt.horizon,
-                "gamma": pt.gamma,
-                "gamma_ci_lo": pt.gamma_ci_lo,
-                "gamma_ci_hi": pt.gamma_ci_hi,
-                "regret_mean": pt.regret_mean,
-                "regret_ucl95": pt.regret_ucl95,
-                "mean_cost": pt.mean_cost,
-                "mean_offline": pt.mean_offline,
-                "bound": pt.bound,
-                "bound_vacuous": pt.bound_vacuous,
-            }
-            for pt in report.gamma_points
-        ]
-    if report.beta_points:
+        rows = [asdict(pt) for pt in report.gamma_points]
+        for row in rows:
+            row["T"] = row.pop("horizon")
+        doc["gamma"] = rows
+    if report.beta_points is not None:
         doc["beta"] = beta_rows(report.beta_points)
     return doc
 
 
-def beta_rows(points: Sequence[BetaPoint]) -> list[dict]:
+def beta_rows(days: np.recarray) -> list[dict]:
     """JSON rows of daily costs; a day without a ratio has ``"beta": null``."""
+    # .tolist() gives Python numbers, which json writes without numpy types
     return [
         {
-            "day": pt.day,
-            "online_cost": pt.online_cost,
-            "offline_cost": pt.offline_cost,
-            "beta": pt.beta,
+            "day": day,
+            "online_cost": online,
+            "offline_cost": offline,
+            "beta": None if math.isnan(beta) else beta,
         }
-        for pt in points
+        for day, online, offline, beta in days.tolist()
     ]
 
 
@@ -484,8 +446,7 @@ def gamma_to_csv(report: ExperimentReport, path) -> None:
     )
 
 
-def beta_to_csv(points: Sequence[BetaPoint], path) -> None:
+def beta_to_csv(days: np.recarray, path) -> None:
     """Write the days that have a ratio as (day, beta) rows."""
-    write_csv(
-        path, ("day", "beta"), ((pt.day, repr(pt.beta)) for pt in points if pt.beta is not None)
-    )
+    scored = days[~np.isnan(days.beta)]
+    write_csv(path, ("day", "beta"), zip(scored.day.tolist(), map(repr, scored.beta.tolist())))

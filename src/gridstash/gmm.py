@@ -285,6 +285,13 @@ def _finite_samples(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
+    # EM sums n squares of differences between samples, each up to 2 max|x|;
+    # compared through a square root, so the check itself cannot overflow
+    largest = float(np.abs(x).max(initial=0.0))
+    if 2.0 * largest > math.sqrt(np.finfo(float).max / max(x.size, 1)):
+        raise ValueError(
+            f"sample magnitude {largest:g} is too large: squares of {x.size} samples overflow"
+        )
     return x
 
 

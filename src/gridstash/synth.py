@@ -60,11 +60,11 @@ def synth_load(
     base: float = 1.0,
     amplitude: float = 1.0,
     peak_hour: int = 18,
-    width: float = 3.0,
     noise: float = 0.1,
     start: datetime = DEFAULT_START,
 ) -> LoadTrace:
-    """A daily demand bump centered on peak_hour plus uniform noise.
+    """A daily demand bump (standard deviation 3 hours) centered on peak_hour
+    plus uniform noise.
 
     base, amplitude, and noise must be nonnegative so demand stays legal.
     """
@@ -72,14 +72,12 @@ def synth_load(
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     if base < 0 or amplitude < 0 or noise < 0:
         raise ValueError("base, amplitude, and noise must all be >= 0")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
     if not 0 <= peak_hour < HOURS_PER_DAY:
         raise ValueError(f"peak_hour must lie in 0..23, got {peak_hour}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     hod = hours_of_day(start, n_hours)
     # circular distance so the bump wraps cleanly around midnight
     dist = np.minimum(np.abs(hod - peak_hour), HOURS_PER_DAY - np.abs(hod - peak_hour))
-    shape = base + amplitude * np.exp(-0.5 * (dist / width) ** 2)
+    shape = base + amplitude * np.exp(-0.5 * (dist / 3.0) ** 2)
     values = shape + (rng.uniform(0.0, noise, size=n_hours) if noise > 0 else 0.0)
     return LoadTrace(start, values)

@@ -202,6 +202,20 @@ def test_fit_gap_trace_exits_2(tmp_path):
     assert run("fit", "--prices", str(bad), "--out", str(tmp_path / "out")) == 2
 
 
+def test_fit_non_utf8_trace_names_the_file(tmp_path, capsys):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("timestamp,price\n2020-01-01T00:00,1.0 café\n".encode("latin-1"))
+    assert run("fit", "--prices", str(latin), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {latin}: file is not UTF-8 text\n"
+
+
+def test_fit_huge_magnitudes_exit_2_naming_the_magnitude(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    save_price_trace(price_trace_from_values(np.tile([0.0, 1e200], 12)), path)
+    assert run("fit", "--prices", str(path), "--k-max", "3", "--out", str(tmp_path / "o")) == 2
+    assert "error: sample magnitude 1e+200 is too large" in capsys.readouterr().err
+
+
 def test_backtest_load_gap_names_the_load_file(price_csv, tmp_path, capsys):
     loads = tmp_path / "gappy_loads.csv"
     loads.write_text("timestamp,demand\n2020-01-01T00:00,1.0\n2020-01-01T02:00,2.0\n")

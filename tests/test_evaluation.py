@@ -17,18 +17,15 @@ from gridstash.distributions import (
 )
 from gridstash.errors import (
     BoundDomainError,
-    InstanceTooLargeError,
     InsufficientDataError,
     NegativeSupportError,
     ZeroBetaSumError,
 )
 from gridstash.evaluation import (
-    BetaPoint,
     ExperimentReport,
     RegretParams,
     WindowMinima,
     _density_infimum,
-    beta_summary,
     beta_to_csv,
     brute_force_expected_cost,
     daily_cost_ratios,
@@ -250,11 +247,14 @@ def test_enumerate_offline_expected_min_agrees_with_oracle_and_closed_form():
         assert ref == pytest.approx(closed, abs=1e-9)
 
 
-def test_enumeration_cap_enforced():
+def test_backward_induction_needs_no_path_enumeration():
+    # 10^8 price paths, but backward induction takes horizon x atoms steps
     values = np.arange(10, dtype=float)
     probs = np.full(10, 0.1)
-    with pytest.raises(InstanceTooLargeError):
-        brute_force_expected_cost(values, probs, 8)
+    theta0 = compute_thresholds_iid(DiscreteDistribution(values, probs), 8).thresholds[0]
+    expected = float(np.dot(np.minimum(values, theta0), probs))
+    assert brute_force_expected_cost(values, probs, 8) == pytest.approx(expected, rel=1e-12)
+    assert expected == pytest.approx(1.144864, abs=5e-7)
 
 
 def test_one_shot_regret_study_structure_and_determinism():
@@ -301,12 +301,13 @@ def test_daily_cost_ratios_known_two_day_instance():
     load_values[30] = 2.0  # deadline inside day 1
     load = load_trace_from_values(load_values)
     dist = UniformDistribution(0.5, 5.0)
-    points, summary = daily_cost_ratios(prices, load, 0.0, ConstantSource(dist))
+    scores = daily_cost_ratios(prices, load, 0.0, ConstantSource(dist))
+    points = scores.days
     assert [pt.day for pt in points] == [0, 1]
     # zero capacity: online and offline both pay the deadline price
     assert points[0].beta == pytest.approx(1.0)
     assert points[1].beta == pytest.approx(1.0)
-    assert summary.total_online == pytest.approx(2.0 * 1 + 3.0 * 2)
+    assert scores.summary["total_online"] == pytest.approx(2.0 * 1 + 3.0 * 2)
 
 
 def test_daily_cost_ratios_beta_at_least_one():
@@ -320,10 +321,10 @@ def test_daily_cost_ratios_beta_at_least_one():
         )
         if float(load.values.sum()) == 0.0:
             continue
-        points, summary = daily_cost_ratios(prices, load, 4.0, ConstantSource(dist))
-        for pt in points:
+        scores = daily_cost_ratios(prices, load, 4.0, ConstantSource(dist))
+        for pt in scores.days:
             assert pt.beta >= 1.0 - 1e-12
-        assert summary.total_online >= summary.total_offline - 1e-9
+        assert scores.summary["total_online"] >= scores.summary["total_offline"] - 1e-9
 
 
 def test_daily_cost_ratios_skips_empty_days():
@@ -331,10 +332,10 @@ def test_daily_cost_ratios_skips_empty_days():
     load_values = np.zeros(72)
     load_values[50] = 1.0  # only day 2 has demand
     load = load_trace_from_values(load_values)
-    points, _ = daily_cost_ratios(
+    scores = daily_cost_ratios(
         prices, load, 0.0, ConstantSource(UniformDistribution(1.0, 3.0))
     )
-    assert [pt.day for pt in points] == [2]
+    assert [pt.day for pt in scores.days] == [2]
 
 
 def test_daily_attribution_follows_deadline_day():
@@ -343,9 +344,9 @@ def test_daily_attribution_follows_deadline_day():
     load_values = np.zeros(48)
     load_values[25] = 1.0
     load = load_trace_from_values(load_values)
-    points, _ = daily_cost_ratios(
+    points = daily_cost_ratios(
         prices, load, 10.0, ConstantSource(UniformDistribution(0.5, 10.0))
-    )
+    ).days
     assert len(points) == 1 and points[0].day == 1
 
 
@@ -358,15 +359,21 @@ def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
     load_values[5] = 1.0
     load_values[30] = 2.0
     load = load_trace_from_values(load_values)
-    points, summary = daily_cost_ratios(
+    scores = daily_cost_ratios(
         prices, load, 0.0, ConstantSource(UniformDistribution(0.1, 1.0))
     )
+    points = scores.days
     assert [pt.day for pt in points] == [0, 1]
-    assert points[0].beta is None
+    assert math.isnan(points[0].beta)
     assert points[0].offline_cost == -2.0 and points[0].online_cost == -2.0
     assert points[1].beta == 1.0
-    assert summary.total_offline == -2.0 + 6.0
-    assert beta_summary(points) == {"beta_mean": 1.0, "beta_max": 1.0, "days_without_beta": 1}
+    assert scores.summary == {
+        "beta_mean": 1.0,
+        "beta_max": 1.0,
+        "days_without_beta": 1,
+        "total_online": -2.0 + 6.0,
+        "total_offline": -2.0 + 6.0,
+    }
     report = ExperimentReport(kind="general_serving", seed=0, config={}, beta_points=points)
     assert [row["beta"] for row in report_to_json_dict(report)["beta"]] == [None, 1.0]
     path = tmp_path / "beta.csv"
@@ -375,8 +382,17 @@ def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
 
 
 def test_nothing_to_score_raises_instead_of_nan():
+    values = np.full(24, 3.0)
+    values[5] = -1.0
+    load_values = np.zeros(24)
+    load_values[5] = 1.0
     with pytest.raises(InsufficientDataError, match="1 days with costs, none with a beta"):
-        beta_summary([BetaPoint(day=0, online_cost=0.0, offline_cost=-1.0, beta=None)])
+        daily_cost_ratios(
+            price_trace_from_values(values),
+            load_trace_from_values(load_values),
+            0.0,
+            ConstantSource(UniformDistribution(0.1, 1.0)),
+        )
     # a serving study whose every price is negative has no day to score
     load = load_trace_from_values(np.tile([0.0, 1.0, 2.0], 16))
     with pytest.raises(InsufficientDataError, match="no day has a positive hindsight cost"):

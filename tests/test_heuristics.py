@@ -12,7 +12,7 @@ import pytest
 from gridstash import gmm
 from gridstash.data_io import price_trace_from_values, split_train_test
 from gridstash.errors import InsufficientDataError
-from gridstash.evaluation import beta_summary, daily_cost_ratios
+from gridstash.evaluation import daily_cost_ratios
 from gridstash.gmm import EmConfig
 from gridstash.heuristics import (
     PeriodLabeling,
@@ -238,9 +238,9 @@ def _hourly_backtest(scale: float = 1.0, shift: float = 0.0):
     load_split = split_train_test(load, 30)
     est = fit_estimator(price_split.train, "hourly")
     capacity = 0.5 * float(load.values.max())
-    points, summary = daily_cost_ratios(price_split.test, load_split.test, capacity, est)
+    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, est)
     ks = [m.n_components for m in est.models]
-    return ks, beta_summary(points)["beta_mean"], summary.result.records.buy_slot
+    return ks, scores.summary["beta_mean"], scores.result.records.buy_slot
 
 
 def test_hourly_fit_is_scale_invariant():

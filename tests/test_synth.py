@@ -115,8 +115,6 @@ def test_load_validation():
     with pytest.raises(ValueError):
         synth_load(24, seed=0, base=-1.0)
     with pytest.raises(ValueError):
-        synth_load(24, seed=0, width=0.0)
-    with pytest.raises(ValueError):
         synth_load(24, seed=0, noise=-0.1)
     for peak_hour in (-1, 24):
         with pytest.raises(ValueError, match=f"peak_hour must lie in 0..23, got {peak_hour}"):
