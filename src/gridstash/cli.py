@@ -65,7 +65,8 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     A key is an option's name with underscores (``k_max`` for ``--k-max``).
     null means "not given", and true/false turn a switch such as --bound on or
     off. Keys that name no option of the subcommand are skipped, so one file
-    can serve several subcommands.
+    can serve several subcommands. Each value is checked with its option's own
+    type and choices, and a bad one is reported under the config file's name.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
@@ -77,6 +78,10 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
             continue
         flag = action.option_strings[-1]
         if action.nargs != 0:
+            try:
+                parser._get_values(action, [str(value)])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             tokens.append(f"{flag}={value}")
         elif not isinstance(value, bool):
             raise ValueError(f"{path}: {action.dest} must be true, false or null, got {value!r}")
@@ -223,11 +228,11 @@ def cmd_backtest(args) -> int:
         config=_em_config(args),
         quantile=args.quantile,
     )
-    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator)
+    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator.laws)
     summary = scores.summary
     doc = {
         "config": {
-            "variant": args.variant.value,
+            "variant": args.variant,
             "train_days": args.train_days,
             "capacity": capacity,
             "train_slots": len(price_split.train),
@@ -379,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loads", help="load trace CSV")
     p.add_argument(
         "--variant",
-        type=Variant,
         choices=[v.value for v in Variant],
-        default=Variant.SINGLE,
+        default=Variant.SINGLE.value,
         help="estimator granularity",
     )
     p.add_argument("--train-days", type=int, help="whole days of training data")

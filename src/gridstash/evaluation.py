@@ -34,8 +34,6 @@ from .errors import (
     ZeroBetaSumError,
 )
 from .policy import (
-    ConstantSource,
-    DistributionSource,
     SimulationResult,
     ThresholdSchedule,
     compute_thresholds_iid,
@@ -340,9 +338,9 @@ def daily_cost_ratios(
     prices: PriceTrace,
     load: LoadTrace,
     capacity: float,
-    source: DistributionSource,
+    laws: Sequence[PriceDistribution],
 ) -> DailyScores:
-    """Run the policy on a realized trace and compare per-day against hindsight.
+    """Serve a realized trace from 24 hourly ``laws`` and compare per-day against hindsight.
 
     Costs attribute to the calendar day of each piece's deadline, so online
     and offline aggregate the same piece set and every daily ratio is >= 1
@@ -353,7 +351,7 @@ def daily_cost_ratios(
     Raises InsufficientDataError when no day has a ratio (no demand, or only
     days whose hindsight cost is not positive): there is nothing to score.
     """
-    result = run_policy(prices, load, capacity, source)
+    result = run_policy(prices, load, capacity, laws)
     rec = result.records
     minima = WindowMinima(prices.values)(rec.t_start, rec.t_end)
     n_days = (load.start.hour + len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
@@ -394,7 +392,7 @@ def general_serving_study(
     the policy that knows ``dist``, and report daily online/offline ratios."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     prices = PriceTrace(load.start, dist.sample(len(load), rng))
-    scores = daily_cost_ratios(prices, load, capacity, ConstantSource(dist))
+    scores = daily_cost_ratios(prices, load, capacity, (dist,) * HOURS_PER_DAY)
     return ExperimentReport(
         kind="general_serving",
         seed=seed,

@@ -346,8 +346,8 @@ def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | Gri
         starved = resp_totals.min(axis=1) < _RESP_EPS
         done = capped | nonfinite | decreased | converged | starved
         # the first exit that applies wins: capped (reported, not converged),
-        # then non-finite, decreased, converged, starved
-        reported = capped | (converged & ~nonfinite & ~decreased)
+        # then non-finite, decreased, starved, converged
+        reported = capped | (converged & ~nonfinite & ~decreased & ~starved)
         if done.any():
             for i in np.flatnonzero(done):
                 log_lik = float(ll[i])

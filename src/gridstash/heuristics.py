@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,12 @@ class PriceEstimator:
             raise ValueError(
                 f"{self.variant.value} estimator cannot have {len(self.models)} models"
             )
-        object.__setattr__(
-            self, "_dists", tuple(GmmDistribution(m) for m in self.models)
-        )
 
-    def distribution_for_hour(self, hour: int) -> GmmDistribution:
-        return self._dists[self.hour_index[hour % HOURS_PER_DAY]]
+    @cached_property
+    def laws(self) -> tuple[GmmDistribution, ...]:
+        """The price law of each hour of day; hours of one model share one law."""
+        dists = tuple(GmmDistribution(m) for m in self.models)
+        return tuple(dists[i] for i in self.hour_index)
 
 
 def _component_cap(n_samples: int, max_components: int) -> int:

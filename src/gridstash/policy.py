@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_io import LoadTrace, PriceTrace, ensure_aligned, write_csv
+from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned, write_csv
 from .decomposition import (
     DispatchSchedule,
     decompose,
@@ -26,23 +26,6 @@ from .decomposition import (
 )
 from .distributions import PriceDistribution
 from .errors import InfeasibleDispatchError, LengthMismatchError
-
-
-@runtime_checkable
-class DistributionSource(Protocol):
-    """Anything that can supply a price law per hour-of-day."""
-
-    def distribution_for_hour(self, hour: int) -> PriceDistribution: ...
-
-
-@dataclass(frozen=True)
-class ConstantSource:
-    """The same price law for every hour (the known-distribution policy)."""
-
-    dist: PriceDistribution
-
-    def distribution_for_hour(self, hour: int) -> PriceDistribution:
-        return self.dist
 
 
 @dataclass(frozen=True)
@@ -135,39 +118,41 @@ def run_policy(
     prices: PriceTrace,
     load: LoadTrace,
     capacity: float,
-    source: DistributionSource,
+    laws: Sequence[PriceDistribution],
 ) -> SimulationResult:
     """Serve a whole demand trace with the threshold policy.
 
-    Decomposes the load under the given capacity and groups the pieces by
-    (start hour-of-day, window length). Each group shares one threshold
-    schedule, computed from the laws of the hours its window covers, and is
-    served as one matrix of price windows. The buy slots are reassembled into
-    a dispatch that must pass the feasibility check.
+    ``laws[h]`` is the price law of hour-of-day h. The load is decomposed
+    under the given capacity. A piece's thresholds run backward from its
+    deadline, so a piece of length L uses the last L entries of any schedule
+    over a longer window with the same deadline hour. So one schedule per
+    deadline hour, computed over the longest piece that ends at that hour,
+    serves all of that hour's pieces as one matrix: each row is the window
+    ending at the piece's deadline, with the slots before its start set to
+    +inf so they never buy. The buy slots are reassembled into a dispatch that must pass
+    the feasibility check.
     """
     ensure_aligned(prices, load)
     pieces = decompose(load, capacity)
     t_start, t_end = pieces.t_start, pieces.t_end
     lengths = t_end - t_start + 1
-    slot_hours = prices.hours_of_day()
-    start_hours = slot_hours[t_start]
-    order = np.lexsort((lengths, start_hours))
-    new_group = (np.diff(start_hours[order], prepend=-1) != 0) | (
-        np.diff(lengths[order], prepend=0) != 0
-    )
-    bounds = np.append(np.flatnonzero(new_group), len(pieces)).tolist()
+    end_hours = prices.hours_of_day()[t_end]
     offsets = np.empty(len(pieces), dtype=np.int64)
     paid = np.empty(len(pieces))
     threshold = np.empty(len(pieces))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        group = order[lo:hi]
-        first, length = int(t_start[group[0]]), int(lengths[group[0]])
+    for hour in np.flatnonzero(np.bincount(end_hours, minlength=HOURS_PER_DAY)).tolist():
+        group = np.flatnonzero(end_hours == hour)
+        width = int(lengths[group].max())
         schedule = compute_thresholds_timevarying(
-            [source.distribution_for_hour(h) for h in slot_hours[first : first + length].tolist()]
+            [laws[(hour - j) % HOURS_PER_DAY] for j in range(width - 1, -1, -1)]
         )
-        windows = sliding_window_view(prices.values, length)[t_start[group]]
-        paid[group], offsets[group] = simulate_one_shot_matrix(windows, schedule)
-        threshold[group] = schedule.as_array()[offsets[group]]
+        padded = np.concatenate((np.full(width - 1, np.inf), prices.values))
+        windows = sliding_window_view(padded, width)[t_end[group]]
+        lead = width - lengths[group]
+        windows = np.where(np.arange(width) < lead[:, None], np.inf, windows)
+        paid[group], window_offsets = simulate_one_shot_matrix(windows, schedule)
+        offsets[group] = window_offsets - lead
+        threshold[group] = schedule.as_array()[window_offsets]
     buy_slot = t_start + offsets
     dispatch = schedule_from_assignments(load, pieces, buy_slot)
     report = verify_feasible(dispatch, load, capacity)

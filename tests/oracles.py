@@ -143,7 +143,7 @@ def serve_one_shot(schedule: ThresholdSchedule, window_prices) -> tuple[int, flo
     raise AssertionError("unreachable: sentinel threshold always triggers")
 
 
-def reference_run_policy(prices, load, capacity: float, source):
+def reference_run_policy(prices, load, capacity: float, laws):
     """Per-piece serve of a whole trace: rows of (quantity, t_start, t_end,
     buy_slot, price, threshold, forced) in piece order, and the fsum cost.
 
@@ -157,7 +157,7 @@ def reference_run_policy(prices, load, capacity: float, source):
         key = (hours[t_start], t_end - t_start + 1)
         if key not in cache:
             cache[key] = compute_thresholds_timevarying(
-                [source.distribution_for_hour(h) for h in hours[t_start : t_end + 1]]
+                [laws[h] for h in hours[t_start : t_end + 1]]
             )
         offset, price, threshold, forced = serve_one_shot(
             cache[key], prices.values[t_start : t_end + 1]
@@ -205,10 +205,6 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
         if ll < prev_ll - 1e-9:
             raise DegenerateFitError(f"log-likelihood decreased from {prev_ll!r} to {ll!r}")
         trace.append(ll)
-        if abs(ll - prev_ll) < config.tol * n:
-            converged = True
-            break
-        prev_ll = ll
         resp = np.exp(log_comp - log_norm[:, None])
         resp_totals = resp.sum(axis=0)
         if resp_totals.min() < 1e-12:
@@ -216,6 +212,10 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
             raise DegenerateFitError(
                 f"component {starved} lost all responsibility (total {resp_totals[starved]!r})"
             )
+        if abs(ll - prev_ll) < config.tol * n:
+            converged = True
+            break
+        prev_ll = ll
         means = (resp.T @ x) / resp_totals
         var = np.einsum("ik,ik->k", resp, (x[:, None] - means[None, :]) ** 2)
         stds = np.maximum(np.sqrt(var / resp_totals), floor)
@@ -238,8 +238,9 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
 
 
 # Two-atom data gives K = 3 a duplicate-centre component that starves on the
-# third pass; that pass gains only about 1.1e-6 in total log-likelihood, so the
-# fit reaches the starvation only when tol per sample is below 1.1e-6 / n.
+# third pass; that pass gains only about 1.1e-6 in total log-likelihood, so a
+# tol per sample above 1.1e-6 / n also converges there, and the starvation
+# check, which comes first, fails the fit at any tol.
 STARVE_TOL = 1e-9
 
 

@@ -432,7 +432,7 @@ def test_config_must_be_json_object(price_csv, tmp_path):
     ("fit", {"k_max": [3]}, "argument --k-max: invalid int value: '[3]'"),
     ("fit", {"k_max": 2.7}, "argument --k-max: invalid int value: '2.7'"),
     ("fit", {"prices": 5}, "error: [Errno 2] No such file or directory: '5'"),
-    ("backtest", {"variant": "weekly"}, "argument --variant: invalid Variant value: 'weekly'"),
+    ("backtest", {"variant": "weekly"}, "argument --variant: invalid choice: 'weekly'"),
     ("montecarlo", {"bound": "yes"}, "bound must be true, false or null, got 'yes'"),
 ], ids=["k_max-list", "k_max-float", "prices-number", "variant-unknown", "bound-string"])
 def test_bad_config_value_exits_2(price_csv, load_csv, tmp_path, capsys, command, config, message):
@@ -450,6 +450,10 @@ def test_bad_config_value_exits_2(price_csv, load_csv, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    # a value its option rejects names the config file; a prices path is
+    # only opened later, and that error names the path itself
+    if "prices" not in config:
+        assert err.startswith(f"error: {cfg}: ")
 
 
 def test_config_switches_bound_and_reproducible(tmp_path):

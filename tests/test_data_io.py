@@ -180,6 +180,31 @@ def test_mixed_aware_and_naive_rejected(tmp_path):
         load_price_trace(path)
 
 
+@pytest.mark.parametrize("stamps, hours, saved", [
+    # spring forward: 03:00+02:00 is one UTC hour after 01:00+01:00
+    (["2024-03-31T00:00+01:00", "2024-03-31T01:00+01:00",
+      "2024-03-31T03:00+02:00", "2024-03-31T04:00+02:00"],
+     [0, 1, 2, 3],
+     ["2024-03-31T00:00+01:00", "2024-03-31T01:00+01:00",
+      "2024-03-31T02:00+01:00", "2024-03-31T03:00+01:00"]),
+    # fall back: 02:00 occurs twice, once per offset
+    (["2024-10-27T01:00+02:00", "2024-10-27T02:00+02:00",
+      "2024-10-27T02:00+01:00", "2024-10-27T03:00+01:00"],
+     [1, 2, 3, 4],
+     ["2024-10-27T01:00+02:00", "2024-10-27T02:00+02:00",
+      "2024-10-27T03:00+02:00", "2024-10-27T04:00+02:00"]),
+], ids=["spring-forward", "fall-back"])
+def test_dst_trace_counts_hours_in_first_row_offset(tmp_path, stamps, hours, saved):
+    # a trace is a UTC-contiguous hourly grid; its hours of day are counted,
+    # and it is written back, in the UTC offset of its first row
+    body = "".join(f"{stamp},{i}.0\n" for i, stamp in enumerate(stamps))
+    trace = load_price_trace(write(tmp_path / "in.csv", "timestamp,price\n" + body))
+    assert trace.hours_of_day().tolist() == hours
+    save_price_trace(trace, tmp_path / "out.csv")
+    rows = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == saved
+
+
 def test_split_sizes_match_day_boundaries():
     trace = price_trace_from_values(np.arange(744.0))
     split = split_train_test(trace, 21)

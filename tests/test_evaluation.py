@@ -39,7 +39,7 @@ from gridstash.evaluation import (
     uniform_bound,
 )
 from gridstash.gmm import make_model
-from gridstash.policy import ConstantSource, compute_thresholds_iid
+from gridstash.policy import compute_thresholds_iid
 from gridstash.synth import DEFAULT_PRICE_MODEL
 
 U01 = UniformDistribution(0.0, 1.0)
@@ -301,7 +301,7 @@ def test_daily_cost_ratios_known_two_day_instance():
     load_values[30] = 2.0  # deadline inside day 1
     load = load_trace_from_values(load_values)
     dist = UniformDistribution(0.5, 5.0)
-    scores = daily_cost_ratios(prices, load, 0.0, ConstantSource(dist))
+    scores = daily_cost_ratios(prices, load, 0.0, (dist,) * 24)
     points = scores.days
     assert [pt.day for pt in points] == [0, 1]
     # zero capacity: online and offline both pay the deadline price
@@ -321,7 +321,7 @@ def test_daily_cost_ratios_beta_at_least_one():
         )
         if float(load.values.sum()) == 0.0:
             continue
-        scores = daily_cost_ratios(prices, load, 4.0, ConstantSource(dist))
+        scores = daily_cost_ratios(prices, load, 4.0, (dist,) * 24)
         for pt in scores.days:
             assert pt.beta >= 1.0 - 1e-12
         assert scores.summary["total_online"] >= scores.summary["total_offline"] - 1e-9
@@ -333,7 +333,7 @@ def test_daily_cost_ratios_skips_empty_days():
     load_values[50] = 1.0  # only day 2 has demand
     load = load_trace_from_values(load_values)
     scores = daily_cost_ratios(
-        prices, load, 0.0, ConstantSource(UniformDistribution(1.0, 3.0))
+        prices, load, 0.0, (UniformDistribution(1.0, 3.0),) * 24
     )
     assert [pt.day for pt in scores.days] == [2]
 
@@ -345,7 +345,7 @@ def test_daily_attribution_follows_deadline_day():
     load_values[25] = 1.0
     load = load_trace_from_values(load_values)
     points = daily_cost_ratios(
-        prices, load, 10.0, ConstantSource(UniformDistribution(0.5, 10.0))
+        prices, load, 10.0, (UniformDistribution(0.5, 10.0),) * 24
     ).days
     assert len(points) == 1 and points[0].day == 1
 
@@ -360,7 +360,7 @@ def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
     load_values[30] = 2.0
     load = load_trace_from_values(load_values)
     scores = daily_cost_ratios(
-        prices, load, 0.0, ConstantSource(UniformDistribution(0.1, 1.0))
+        prices, load, 0.0, (UniformDistribution(0.1, 1.0),) * 24
     )
     points = scores.days
     assert [pt.day for pt in points] == [0, 1]
@@ -391,7 +391,7 @@ def test_nothing_to_score_raises_instead_of_nan():
             price_trace_from_values(values),
             load_trace_from_values(load_values),
             0.0,
-            ConstantSource(UniformDistribution(0.1, 1.0)),
+            (UniformDistribution(0.1, 1.0),) * 24,
         )
     # a serving study whose every price is negative has no day to score
     load = load_trace_from_values(np.tile([0.0, 1.0, 2.0], 16))

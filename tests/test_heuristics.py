@@ -124,8 +124,8 @@ def test_fit_single_variant():
     assert est.variant is Variant.SINGLE
     assert len(est.models) == 1
     assert est.hour_index == (0,) * 24
-    d0 = est.distribution_for_hour(0)
-    assert d0 is est.distribution_for_hour(13)
+    d0 = est.laws[0]
+    assert d0 is est.laws[13]
     assert d0.mean() == pytest.approx(float(trace.values.mean()), rel=0.1)
 
 
@@ -137,9 +137,7 @@ def test_fit_hourly_variant():
     hours = trace.hours_of_day()
     for h in (0, 7, 19):
         samples = trace.values[hours == h]
-        assert est.distribution_for_hour(h).mean() == pytest.approx(
-            float(samples.mean()), abs=1e-6
-        )
+        assert est.laws[h].mean() == pytest.approx(float(samples.mean()), abs=1e-6)
 
 
 def test_fit_hourly_needs_full_day():
@@ -155,9 +153,7 @@ def test_fit_peak_offpeak_variant():
     assert est.labeling is not None and est.labeling.peak
     peak_hour = next(iter(est.labeling.peak))
     offpeak_hour = next(iter(est.labeling.offpeak))
-    assert est.distribution_for_hour(peak_hour).mean() > est.distribution_for_hour(
-        offpeak_hour
-    ).mean()
+    assert est.laws[peak_hour].mean() > est.laws[offpeak_hour].mean()
     assert est.hour_index[peak_hour] == 1
     assert est.hour_index[offpeak_hour] == 0
 
@@ -168,7 +164,7 @@ def test_fit_peak_offpeak_degenerate_collapses_to_pooled():
     assert est.variant is Variant.PEAK_OFFPEAK
     assert len(est.models) == 1
     assert est.labeling is not None and not est.labeling.peak
-    assert est.distribution_for_hour(0) is est.distribution_for_hour(18)
+    assert est.laws[0] is est.laws[18]
 
 
 def test_fit_is_deterministic_for_a_seed():
@@ -238,7 +234,7 @@ def _hourly_backtest(scale: float = 1.0, shift: float = 0.0):
     load_split = split_train_test(load, 30)
     est = fit_estimator(price_split.train, "hourly")
     capacity = 0.5 * float(load.values.max())
-    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, est)
+    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, est.laws)
     ks = [m.n_components for m in est.models]
     return ks, scores.summary["beta_mean"], scores.result.records.buy_slot
 

@@ -9,6 +9,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+import gridstash.policy
 import oracles
 from gridstash.data_io import load_trace_from_values, price_trace_from_values
 from gridstash.decomposition import decompose, verify_feasible
@@ -18,7 +19,6 @@ from gridstash.distributions import (
 )
 from gridstash.errors import LengthMismatchError
 from gridstash.policy import (
-    ConstantSource,
     ThresholdSchedule,
     compute_thresholds_iid,
     compute_thresholds_timevarying,
@@ -162,7 +162,7 @@ def test_point_mass_prices_buy_immediately():
 def test_run_policy_zero_capacity_buys_everything_at_deadline():
     prices = price_trace_from_values([3.0, 1.0, 2.0, 5.0])
     load = load_trace_from_values([1.0, 0.0, 2.0, 1.0])
-    result = run_policy(prices, load, 0.0, ConstantSource(U01))
+    result = run_policy(prices, load, 0.0, (U01,) * 24)
     assert np.all(result.schedule.charge == 0.0)
     assert result.total_cost == pytest.approx(3.0 * 1 + 2.0 * 2 + 5.0 * 1)
     assert all(r.forced for r in result.records)
@@ -177,7 +177,7 @@ def test_run_policy_dispatch_is_feasible_and_costs_agree():
             np.round(rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.6), 3)
         )
         capacity = float(rng.uniform(0.0, 5.0))
-        result = run_policy(prices, load, capacity, ConstantSource(U01))
+        result = run_policy(prices, load, capacity, (U01,) * 24)
         assert verify_feasible(result.schedule, load, capacity).ok
         dispatch = result.schedule
         assert result.total_cost == pytest.approx(
@@ -191,7 +191,7 @@ def test_run_policy_feasible_at_large_demand_magnitude():
     load = load_trace_from_values(synth_load(24 * 7, 3).values * 1e5)
     prices = synth_prices(24 * 7, 2)
     capacity = 0.5 * float(load.values.max())
-    result = run_policy(prices, load, capacity, ConstantSource(U01))
+    result = run_policy(prices, load, capacity, (U01,) * 24)
     assert verify_feasible(result.schedule, load, capacity).ok
     assert math.fsum(r.quantity for r in result.records) == pytest.approx(
         float(load.values.sum()), rel=1e-12
@@ -206,36 +206,30 @@ def test_run_policy_with_storage_beats_or_ties_deadline_buying():
         n = 48
         prices = price_trace_from_values(rng.uniform(0.0, 1.0, size=n))
         load = load_trace_from_values((rng.random(n) < 0.4).astype(float))
-        with_storage = run_policy(prices, load, 3.0, ConstantSource(U01))
-        without = run_policy(prices, load, 0.0, ConstantSource(U01))
+        with_storage = run_policy(prices, load, 3.0, (U01,) * 24)
+        without = run_policy(prices, load, 0.0, (U01,) * 24)
         totals_with += with_storage.total_cost
         totals_without += without.total_cost
     assert totals_with < totals_without
 
 
 def test_run_policy_uses_hour_of_day_distributions():
-    class HourSource:
-        def distribution_for_hour(self, hour: int):
-            if hour == 1:
-                return UniformDistribution(0.0, 0.2)  # expects hour 1 cheap
-            return UniformDistribution(0.8, 1.0)
-
+    # expects hour 1 cheap
+    laws = tuple(UniformDistribution(0.0, 0.2) if h == 1 else UniformDistribution(0.8, 1.0)
+                 for h in range(24))
     prices = price_trace_from_values(
         [0.9, 0.15, 0.9], start=datetime(2020, 1, 1, 0)
     )
     load = load_trace_from_values([0.0, 0.0, 1.0])
-    result = run_policy(prices, load, 1.0, HourSource())
+    result = run_policy(prices, load, 1.0, laws)
     # the single piece has window [0, 2]; the policy should wait for hour 1
     assert result.records[0].buy_slot == 1
     assert result.total_cost == pytest.approx(0.15)
 
 
 def test_run_policy_matches_per_piece_reference():
-    class HourSource:
-        # a different law for every hour of day
-        def distribution_for_hour(self, hour: int):
-            return UniformDistribution(0.5 * hour, 0.5 * hour + 10.0)
-
+    # a different law for every hour of day
+    hourly = tuple(UniformDistribution(0.5 * h, 0.5 * h + 10.0) for h in range(24))
     rng = np.random.default_rng(21)
     crossed_midnight, longest = 0, 0
     for trial in range(36):
@@ -248,9 +242,9 @@ def test_run_policy_matches_per_piece_reference():
         load = load_trace_from_values(demand, start=start)
         # no storage, a few hours of storage, and storage for the whole demand
         capacity = (0.0, float(rng.uniform(0.5, 4.0)), float(demand.sum()))[trial % 3]
-        source = HourSource() if trial % 2 else ConstantSource(UniformDistribution(0.0, 22.0))
-        rows, total = oracles.reference_run_policy(prices, load, capacity, source)
-        result = run_policy(prices, load, capacity, source)
+        laws = hourly if trial % 2 else (UniformDistribution(0.0, 22.0),) * 24
+        rows, total = oracles.reference_run_policy(prices, load, capacity, laws)
+        result = run_policy(prices, load, capacity, laws)
         assert result.records.tolist() == rows, trial
         assert result.total_cost == total, trial
         rec = result.records
@@ -259,19 +253,43 @@ def test_run_policy_matches_per_piece_reference():
     assert crossed_midnight > 0 and longest > 24
 
 
+def test_run_policy_computes_one_schedule_per_deadline_hour(monkeypatch):
+    lengths = []
+
+    def counting(dists):
+        lengths.append(len(dists))
+        return compute_thresholds_timevarying(dists)
+
+    monkeypatch.setattr(gridstash.policy, "compute_thresholds_timevarying", counting)
+    laws = tuple(UniformDistribution(0.5 * h, 0.5 * h + 10.0) for h in range(24))
+    rng = np.random.default_rng(3)
+    start = datetime(2021, 3, 1, 5)
+    prices = price_trace_from_values(rng.uniform(0.0, 22.0, size=24 * 5), start=start)
+    load = load_trace_from_values(rng.uniform(0.5, 3.0, size=24 * 5), start=start)
+    # storage for the whole demand: every window starts at slot 0, so there
+    # are 120 window lengths but only 24 deadline hours
+    capacity = float(load.values.sum())
+    result = run_policy(prices, load, capacity, laws)
+    assert np.all(result.records.t_start == 0)
+    assert len(lengths) <= 24
+    rows, total = oracles.reference_run_policy(prices, load, capacity, laws)
+    assert result.records.tolist() == rows
+    assert result.total_cost == total
+
+
 def test_run_policy_rejects_misaligned_traces():
     from gridstash.errors import AlignmentError
 
     prices = price_trace_from_values([1.0, 2.0])
     load = load_trace_from_values([1.0, 2.0], start=datetime(2021, 6, 1))
     with pytest.raises(AlignmentError):
-        run_policy(prices, load, 1.0, ConstantSource(U01))
+        run_policy(prices, load, 1.0, (U01,) * 24)
 
 
 def test_decisions_csv_round_trips_inf_thresholds(tmp_path):
     prices = price_trace_from_values([0.9, 0.8, 0.7, 0.6])
     load = load_trace_from_values([0.0, 1.0, 0.0, 2.0])
-    result = run_policy(prices, load, 1.5, ConstantSource(U01))
+    result = run_policy(prices, load, 1.5, (U01,) * 24)
     path = tmp_path / "decisions.csv"
     decisions_to_csv(result, path)
     lines = path.read_text().strip().splitlines()
@@ -296,7 +314,7 @@ def test_records_hold_python_numbers(tmp_path):
     # decisions.csv writes repr(): a numpy scalar would print as np.float64(...)
     prices = price_trace_from_values([0.9, 0.2, 0.7, 0.6, 0.1, 0.5])
     load = load_trace_from_values([0.0, 1.0, 0.5, 2.0, 0.0, 0.25])
-    result = run_policy(prices, load, 1.5, ConstantSource(U01))
+    result = run_policy(prices, load, 1.5, (U01,) * 24)
     path = tmp_path / "decisions.csv"
     decisions_to_csv(result, path)
     text = path.read_text()
