@@ -1,8 +1,9 @@
 """One-dimensional Gaussian mixture fitting via EM with BIC model selection.
 
 The fitting loop is written out by hand (log-domain E-step with a
-max-shifted numpy log-sum-exp, closed-form M-step, k-means++-style seeding)
-so its convergence accounting and failure modes are fully under our control.
+max-shifted numpy log-sum-exp, closed-form M-step, k-means++-style seeding,
+SQUAREM extrapolation on standardized samples) so its convergence accounting
+and failure modes are fully under our control.
 The normal CDF is a scalar port of cephes ``ndtr`` (the routine behind
 ``scipy.special.ndtr``, bit for bit), so fitting and evaluating a mixture
 loads no scipy module. One EM core fits many equal-size sample
@@ -164,9 +165,9 @@ def make_model(weights, means, stds) -> GmmModel:
 class EmConfig:
     """Knobs for one EM run.
 
-    A fit converges once a pass changes the total log-likelihood by less than
-    tol per sample (tol * n), the mean-gain rule of scikit-learn's
-    GaussianMixture; max_iter caps the passes.
+    A fit converges once a plain EM step changes the total log-likelihood by
+    less than tol per sample (tol * n), the mean-gain rule of scikit-learn's
+    GaussianMixture; max_iter caps the E-steps after the first.
     """
 
     tol: float = 1e-6
@@ -183,7 +184,8 @@ class EmConfig:
 @dataclass(frozen=True, eq=False)
 class FitReport:
     """Outcome of one EM fit; ll_trace is a read-only array of the
-    log-likelihood after each pass."""
+    log-likelihoods along the accepted path, and iterations counts the
+    E-steps after the first."""
 
     model: GmmModel
     log_likelihood: float
@@ -281,128 +283,211 @@ def _initial_params(x: np.ndarray, k: int, rng: np.random.Generator, floor: floa
     return weights, means, stds
 
 
-def _finite_samples(samples) -> np.ndarray:
+def _standardize(samples) -> tuple[np.ndarray, np.ndarray]:
+    """(z, frame) of one sample group: z = (x - centre) / scale, and the frame
+    (centre, scale, sigma floor) that maps a fit on z back to x.
+
+    The centre is the midrange and the scale the power of two at or just above
+    the half-range, or 1 for constant samples, so z lies in [-1, 1]. Neither
+    squares a sample, so every finite magnitude fits, and scaling x by a power
+    of two leaves z bit for bit as it was. The floor is _SIGMA_FLOOR times the
+    std of z, or 1e-9 when z is constant.
+    """
     x = np.asarray(samples, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
-    # EM sums n squares of differences between samples, each up to 2 max|x|;
-    # compared through a square root, so the check itself cannot overflow
-    largest = float(np.abs(x).max(initial=0.0))
-    if 2.0 * largest > math.sqrt(np.finfo(float).max / max(x.size, 1)):
-        raise ValueError(
-            f"sample magnitude {largest:g} is too large: squares of {x.size} samples overflow"
-        )
-    return x
+    # halves first, so neither the centre nor the half-range can overflow
+    lo, hi = (0.5 * x.min(), 0.5 * x.max()) if x.size else (0.0, 0.0)
+    centre = lo + hi
+    scale = math.ldexp(1.0, math.frexp(hi - lo)[1])
+    z = (x - centre) / scale
+    floor = _SIGMA_FLOOR * float(z.std()) if x.size else 0.0
+    return z, np.array([centre, scale, floor if floor > 0 else 1e-9])
 
 
-def _em_lanes(x: np.ndarray, n_components: int, configs) -> list[FitReport | GridstashError]:
-    """Run em_fit on every row of x (lanes, n) at once, one config per lane.
+def _m_step(comp: np.ndarray, resp_totals: np.ndarray, z: np.ndarray, floors, work: np.ndarray):
+    """(weights, means, stds) from the responsibilities comp (lanes, K, n)."""
+    n = z.shape[1]
+    np.multiply(comp, z[:, None, :], out=work)
+    means = work.sum(axis=2) / resp_totals
+    np.subtract(z[:, None, :], means[:, :, None], out=work)
+    np.square(work, out=work)
+    work *= comp
+    stds = np.maximum(np.sqrt(work.sum(axis=2) / resp_totals), floors[:, None])
+    return resp_totals / n, means, stds
 
-    Each lane keeps its own seed, sigma floor, trace, iteration count and
-    failure; a lane that converges, reaches its max_iter, degenerates or
-    starves leaves the active set while the others carry on. Returns, per
-    lane, its report or the error em_fit would raise: InsufficientSamplesError
-    for every lane when n < n_components, else DegenerateFitError.
+
+def _s3_point(theta, p1, p2, step_max, floors):
+    """(p', a) per lane: the S3 extrapolation of p -> p1 -> p2, theta being p
+    in (log weight, mean, log std).
+
+    With r = p1 - p and v = p2 - 2 p1 + p in those coordinates and
+    a = max(1, |r| / |v|) capped at step_max, p' = p2 + (a - 1)(2 r + (a + 1) v),
+    which is p2 itself at a = 1. Its weights are renormalized and its stds
+    floored, so p' is a mixture wherever it is finite.
     """
-    lanes, n = x.shape
+    theta1 = (np.log(p1[0]), p1[1], np.log(p1[2]))
+    theta2 = (np.log(p2[0]), p2[1], np.log(p2[2]))
+    r = [b - a for a, b in zip(theta, theta1)]
+    v = [c - b - d for b, c, d in zip(theta1, theta2, r)]
+    ratio = np.sqrt(sum((d * d).sum(axis=1) for d in r) / sum((d * d).sum(axis=1) for d in v))
+    alpha = np.fmin(step_max, np.fmax(1.0, ratio))
+    a = alpha[:, None]
+    log_w, means, log_s = (
+        t + (a - 1.0) * (2.0 * dr + (a + 1.0) * dv) for t, dr, dv in zip(theta2, r, v)
+    )
+    weights = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return (weights, means, np.maximum(np.exp(log_s), floors[:, None])), alpha
+
+
+def _em_lanes(
+    z: np.ndarray, n_components: int, configs, frames
+) -> list[FitReport | GridstashError]:
+    """Run em_fit on every row of z (lanes, n) at once, one config per lane.
+
+    z holds each lane's standardized samples and frames (lanes, 3) its
+    (centre, scale, sigma floor), as _standardize returns them; the reports
+    are in the samples' own units. Each lane keeps its own seed, trace,
+    iteration count, step bound and failure; a lane that converges, reaches
+    its max_iter, degenerates or starves leaves the active set while the
+    others carry on. Returns, per lane, its report or the error em_fit would
+    raise: InsufficientSamplesError for every lane when n < n_components,
+    else DegenerateFitError.
+
+    Every lane runs SQUAREM-1 cycles of three E-steps in step: plain EM steps
+    p -> p1 -> p2, then one at the S3 extrapolation p' of the three in
+    (log weight, mean, log std), whose M-step continues the path when p' is
+    finite, starves no component and is at least as likely as p1; otherwise
+    the path continues from p2. The lane stops on the plain step p -> p1.
+    """
+    lanes, n = z.shape
     k = n_components
     if n < k:
         return [InsufficientSamplesError(f"{n} samples cannot support {k} components")] * lanes
     weights, means, stds = (np.empty((lanes, k)) for _ in range(3))
-    floors = np.empty(lanes)
+    floors = frames[:, 2]
     for g, config in enumerate(configs):
-        floor = _SIGMA_FLOOR * float(x[g].std())
-        floors[g] = floor if floor > 0 else 1e-9
         rng = np.random.default_rng(config.init_seed)
-        weights[g], means[g], stds[g] = _initial_params(x[g], k, rng, floors[g])
+        weights[g], means[g], stds[g] = _initial_params(z[g], k, rng, floors[g])
     tol = np.array([c.tol for c in configs]) * n
     max_iter = np.array([c.max_iter for c in configs])
-    # log-likelihood per lane and pass; widened on demand, so a large
-    # max_iter costs nothing until passes actually run
+    # the accepted path's log-likelihoods per lane, kept[g] of them; widened
+    # on demand, so a large max_iter costs nothing until passes actually run
     trace = np.empty((lanes, 64))
+    kept = np.zeros(lanes, dtype=np.intp)
     results: list = [None] * lanes
     live = np.arange(lanes)
     prev = np.full(lanes, -math.inf)
+    step_max = np.ones(lanes)
+    saved: list = []
     # the E-step and M-step work in place in these two (lanes, K, n) buffers;
     # leaving lanes shrink the prefix in use
     comp_buf = np.empty((lanes, k, n))
     work_buf = np.empty_like(comp_buf)
     passes = 0
-    while live.size:
-        comp = _log_densities(x, weights, means, stds, comp_buf[: live.size])
-        total, peak = _exp_shifted(comp, axis=1)
-        ll = _log_of_sums(total, peak).sum(axis=2)[:, 0]
-        if passes == trace.shape[1]:
-            trace = np.concatenate([trace, np.empty_like(trace)], axis=1)
-        trace[live, passes] = ll
-        # responsibilities; a lane with a non-finite log-likelihood leaves below
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # an extrapolated point may overflow, and a lane whose log-likelihood is
+    # not finite divides by zero; the checks below catch both
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while live.size:
+            phase = passes % 3
+            comp = _log_densities(z, weights, means, stds, comp_buf[: live.size])
+            total, peak = _exp_shifted(comp, axis=1)
+            ll = _log_of_sums(total, peak).sum(axis=2)[:, 0]
             comp /= total
-        resp_totals = comp.sum(axis=2)
-        capped = max_iter == passes
-        nonfinite = ~np.isfinite(ll)
-        decreased = ll < prev - 1e-9
-        converged = np.abs(ll - prev) < tol
-        starved = resp_totals.min(axis=1) < _RESP_EPS
-        done = capped | nonfinite | decreased | converged | starved
-        # the first exit that applies wins: capped (reported, not converged),
-        # then non-finite, decreased, starved, converged
-        reported = capped | (converged & ~nonfinite & ~decreased & ~starved)
-        if done.any():
-            for i in np.flatnonzero(done):
-                log_lik = float(ll[i])
-                if reported[i]:
-                    ll_trace = trace[live[i], : passes + 1].copy()
-                    ll_trace.setflags(write=False)
-                    results[live[i]] = FitReport(
-                        make_model(weights[i], means[i], stds[i]), log_lik,
-                        bic(log_lik, n, n_free_params(k)), iterations=passes,
-                        converged=not capped[i], n_samples=n, ll_trace=ll_trace,
-                    )
-                elif nonfinite[i]:
-                    results[live[i]] = DegenerateFitError(f"log-likelihood became {log_lik!r}")
-                elif decreased[i]:
-                    results[live[i]] = DegenerateFitError(
-                        f"log-likelihood decreased from {float(prev[i])!r} to {log_lik!r}"
-                    )
-                else:
-                    j = int(np.argmin(resp_totals[i]))
-                    results[live[i]] = DegenerateFitError(
-                        f"component {j} lost all responsibility (total {resp_totals[i, j]!r})"
-                    )
-            keep = ~done
-            live, x, floors, tol, max_iter, ll, resp_totals = (
-                a[keep] for a in (live, x, floors, tol, max_iter, ll, resp_totals)
-            )
-            comp_buf[: live.size] = comp[keep]
-            comp = comp_buf[: live.size]
-        work = work_buf[: live.size]
-        np.multiply(comp, x[:, None, :], out=work)
-        means = work.sum(axis=2) / resp_totals
-        np.subtract(x[:, None, :], means[:, :, None], out=work)
-        np.square(work, out=work)
-        work *= comp
-        stds = np.maximum(np.sqrt(work.sum(axis=2) / resp_totals), floors[:, None])
-        weights = resp_totals / n
-        prev = ll
-        passes += 1
+            resp_totals = comp.sum(axis=2)
+            finite = np.isfinite(ll)
+            starved = resp_totals.min(axis=1) < _RESP_EPS
+            # an extrapolated point fails nothing: a poor one falls back to p2
+            plain = phase != 2
+            on_path = plain | (finite & ~starved & (ll >= prev))
+            if passes == trace.shape[1]:
+                trace = np.concatenate([trace, np.empty_like(trace)], axis=1)
+            trace[live, kept[live]] = ll
+            kept[live] += on_path
+            capped = max_iter == passes
+            nonfinite = ~finite & plain
+            decreased = (ll < prev - 1e-9) & plain
+            starved &= plain
+            converged = (np.abs(ll - prev) < tol) & (phase == 1)
+            done = capped | nonfinite | decreased | converged | starved
+            # the first exit that applies wins: capped (reported, not converged),
+            # then non-finite, decreased, starved, converged
+            reported = capped | (converged & ~nonfinite & ~decreased & ~starved)
+            if done.any():
+                for i in np.flatnonzero(done):
+                    g = live[i]
+                    centre, scale, _ = frames[i]
+                    shift = n * math.log(scale)
+                    if reported[i]:
+                        ll_trace = trace[g, : kept[g]] - shift
+                        ll_trace.setflags(write=False)
+                        log_lik = float(ll_trace[-1])
+                        # a capped lane whose last point was rejected reports p1
+                        w, m, s = (weights, means, stds) if on_path[i] else saved[:3]
+                        results[g] = FitReport(
+                            make_model(w[i], centre + scale * m[i], scale * s[i]), log_lik,
+                            bic(log_lik, n, n_free_params(k)), iterations=passes,
+                            converged=not capped[i], n_samples=n, ll_trace=ll_trace,
+                        )
+                    elif nonfinite[i]:
+                        results[g] = DegenerateFitError(
+                            f"log-likelihood became {float(ll[i]) - shift!r}"
+                        )
+                    elif decreased[i]:
+                        results[g] = DegenerateFitError(
+                            f"log-likelihood decreased from {float(prev[i]) - shift!r} "
+                            f"to {float(ll[i]) - shift!r}"
+                        )
+                    else:
+                        j = int(np.argmin(resp_totals[i]))
+                        total_j = float(resp_totals[i, j])
+                        results[g] = DegenerateFitError(
+                            f"component {j} lost all responsibility (total {total_j!r})"
+                        )
+                keep = ~done
+                lane_state = (live, z, frames, tol, max_iter, ll, prev, step_max, on_path,
+                              resp_totals, weights, means, stds, *saved)
+                (live, z, frames, tol, max_iter, ll, prev, step_max, on_path,
+                 resp_totals, weights, means, stds, *saved) = (a[keep] for a in lane_state)
+                floors = frames[:, 2]
+                comp_buf[: live.size] = comp[keep]
+                comp = comp_buf[: live.size]
+            step = _m_step(comp, resp_totals, z, floors, work_buf[: live.size])
+            if phase == 0:
+                saved = [np.log(weights), means, np.log(stds)]
+                weights, means, stds = step
+            elif phase == 1:
+                point, alpha = _s3_point(saved, (weights, means, stds), step, step_max, floors)
+                saved = [weights, means, stds, *step, alpha]
+                weights, means, stds = point
+            else:
+                alpha, take = saved[6], on_path[:, None]
+                weights, means, stds = (np.where(take, a, b) for a, b in zip(step, saved[3:6]))
+                grown = np.where(alpha == step_max, 4.0 * step_max, step_max)
+                step_max = np.where(on_path, grown, np.maximum(1.0, step_max / 4.0))
+            prev = np.where(on_path, ll, prev)
+            passes += 1
     return results
 
 
 def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitReport:
-    """Fit a mixture by expectation-maximization.
+    """Fit a mixture by expectation-maximization, accelerated by SQUAREM.
 
-    Each pass computes responsibilities in the log domain, stops the fit once
-    the total log-likelihood moved by less than config.tol per sample since
-    the previous pass, and otherwise applies one M-step (weighted mean,
-    weighted variance around the new mean, weight = responsibility share).
-    Raises InsufficientSamplesError for fewer samples than components, and
-    DegenerateFitError if a component starves, the likelihood stops being
-    finite, or it decreases beyond 1e-9.
+    Fits on the standardized samples (see _standardize) and maps the model
+    back. Each E-step computes responsibilities in the log domain; each M-step
+    sets weighted means, weighted variances around them and weights equal to
+    the responsibility shares. The fit converges once a plain EM step moves
+    the total log-likelihood by less than config.tol per sample, and reports
+    that step's M-step output; config.max_iter caps the E-steps after the
+    first. Raises InsufficientSamplesError for fewer samples than components,
+    and DegenerateFitError if a component starves, the likelihood stops being
+    finite, or it decreases beyond 1e-9 along the accepted path.
     """
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
-    result = _em_lanes(_finite_samples(samples)[None, :], n_components, [config])[0]
+    z, frame = _standardize(samples)
+    result = _em_lanes(z[None, :], n_components, [config], frame[None, :])[0]
     if isinstance(result, GridstashError):
         raise result
     return result
@@ -468,24 +553,28 @@ def select_models(groups, max_components, configs) -> list[Selection]:
     successful fit, fail to beat its best BIC, so its candidates end at the
     stopping K. Groups sharing a sample count are fitted together: each K runs
     once for the bucket, with one EM lane per group still sweeping; lanes are
-    independent, so a group's rows do not depend on the others.
+    independent, so a group's rows do not depend on the others. Each group is
+    standardized once (see _standardize), and its reports are in its own units.
     """
-    xs = [_finite_samples(g) for g in groups]
-    rows: list[list[CandidateFit]] = [[] for _ in xs]
-    last_error: list[Exception | None] = [None] * len(xs)
-    best: list[FitReport | None] = [None] * len(xs)
-    misses = [0] * len(xs)
+    prepared = [_standardize(g) for g in groups]
+    rows: list[list[CandidateFit]] = [[] for _ in prepared]
+    last_error: list[Exception | None] = [None] * len(prepared)
+    best: list[FitReport | None] = [None] * len(prepared)
+    misses = [0] * len(prepared)
     buckets: dict[int, list[int]] = {}
-    for i, (x, cap) in enumerate(zip(xs, max_components)):
+    for i, ((z, _), cap) in enumerate(zip(prepared, max_components)):
         if cap < 1:
             raise ValueError(f"max_components must be >= 1, got {cap}")
-        buckets.setdefault(x.size, []).append(i)
+        buckets.setdefault(z.size, []).append(i)
     for members in buckets.values():
-        stacked = np.stack([xs[i] for i in members])
+        stacked = np.stack([prepared[i][0] for i in members])
+        frames = np.stack([prepared[i][1] for i in members])
         k = 0
         while members:
             k += 1
-            lane_results = _em_lanes(stacked, k, [derive_config(configs[i], k) for i in members])
+            lane_results = _em_lanes(
+                stacked, k, [derive_config(configs[i], k) for i in members], frames
+            )
             for i, result in zip(members, lane_results):
                 if isinstance(result, FitReport):
                     rows[i].append(CandidateFit(k, result, None))
@@ -503,7 +592,7 @@ def select_models(groups, max_components, configs) -> list[Selection]:
             ]
             if len(sweeping) < len(members):
                 members = [members[j] for j in sweeping]
-                stacked = stacked[sweeping]
+                stacked, frames = stacked[sweeping], frames[sweeping]
     for pick, error in zip(best, last_error):
         if pick is None:
             raise error

@@ -27,6 +27,11 @@ from .decomposition import (
 from .distributions import PriceDistribution
 from .errors import InfeasibleDispatchError, LengthMismatchError
 
+# A deadline hour's pieces are served in chunks of rows whose windows hold at
+# most this many cells (at least one row), so a storage that holds days of
+# demand never holds a (pieces x span) price matrix at once.
+_SERVE_CHUNK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
@@ -127,10 +132,10 @@ def run_policy(
     deadline, so a piece of length L uses the last L entries of any schedule
     over a longer window with the same deadline hour. So one schedule per
     deadline hour, computed over the longest piece that ends at that hour,
-    serves all of that hour's pieces as one matrix: each row is the window
-    ending at the piece's deadline, with the slots before its start set to
-    +inf so they never buy. The buy slots are reassembled into a dispatch that must pass
-    the feasibility check.
+    serves all of that hour's pieces, in row chunks of bounded size: each row
+    is the window ending at the piece's deadline, with the slots before its
+    start set to +inf so they never buy. The buy slots are reassembled into a
+    dispatch that must pass the feasibility check.
     """
     ensure_aligned(prices, load)
     pieces = decompose(load, capacity)
@@ -146,13 +151,17 @@ def run_policy(
         schedule = compute_thresholds_timevarying(
             [laws[(hour - j) % HOURS_PER_DAY] for j in range(width - 1, -1, -1)]
         )
-        padded = np.concatenate((np.full(width - 1, np.inf), prices.values))
-        windows = sliding_window_view(padded, width)[t_end[group]]
-        lead = width - lengths[group]
-        windows = np.where(np.arange(width) < lead[:, None], np.inf, windows)
-        paid[group], window_offsets = simulate_one_shot_matrix(windows, schedule)
-        offsets[group] = window_offsets - lead
-        threshold[group] = schedule.as_array()[window_offsets]
+        all_windows = sliding_window_view(
+            np.concatenate((np.full(width - 1, np.inf), prices.values)), width
+        )
+        rows = max(1, _SERVE_CHUNK_CELLS // width)
+        for first in range(0, group.size, rows):
+            part = group[first : first + rows]
+            lead = width - lengths[part]
+            windows = np.where(np.arange(width) < lead[:, None], np.inf, all_windows[t_end[part]])
+            paid[part], window_offsets = simulate_one_shot_matrix(windows, schedule)
+            offsets[part] = window_offsets - lead
+            threshold[part] = schedule.as_array()[window_offsets]
     buy_slot = t_start + offsets
     dispatch = schedule_from_assignments(load, pieces, buy_slot)
     report = verify_feasible(dispatch, load, capacity)

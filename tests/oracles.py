@@ -7,10 +7,12 @@ The serve reference runs the policy one piece and one slot at a time; it
 shares only the threshold recursion with the package's grouped array serve.
 The decomposition reference walks each deadline's level interval cut by cut,
 one piece at a time, as the package's whole-array sweep must reproduce.
-The EM reference is the plain one-fit-at-a-time loop with scipy's logsumexp;
-it shares only the seeded initialisation with the package's batched core. The
-BIC sweep reference fits one K at a time for one group and stops after three
-consecutive K that fail to beat the best BIC, counted from the first fit.
+The EM reference is one SQUAREM-accelerated fit at a time, written as a plain
+loop of E-steps; it shares only the seeded initialisation with the package's
+batched core, and follows the core's operation order so that its parameters
+match to 1e-9 (see reference_squarem_fit). The BIC sweep reference fits one
+K at a time for one group and stops after three consecutive K that fail to
+beat the best BIC, counted from the first fit.
 The mixture CDF and truncated first moment are the vectorised expressions over
 scipy's ``ndtr`` that the package's scalar normal CDF must reproduce exactly.
 The expected minimum of two draws integrates p * pdf * survival with scipy's
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from gridstash.data_io import hours_of_day
 from gridstash.distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
@@ -166,18 +168,35 @@ def reference_run_policy(prices, load, capacity: float, laws):
     return rows, math.fsum(r[0] * r[4] for r in rows)
 
 
-def _reference_log_comp(x: np.ndarray, weights, means, stds) -> np.ndarray:
-    z = (x[:, None] - means[None, :]) / stds[None, :]
-    return (
-        np.log(np.maximum(weights, 1e-300))[None, :]
-        - np.log(stds)[None, :]
-        - 0.5 * z * z
-        - 0.5 * math.log(2.0 * math.pi)
-    )
+def _reference_log_comp(z: np.ndarray, weights, means, stds) -> np.ndarray:
+    """(K, n) log(w_k * N(z_i | mu_k, s_k)), in the package's operation order."""
+    d = (z[None, :] - means[:, None]) * (math.sqrt(0.5) / stds)[:, None]
+    log_scale = np.log(np.maximum(weights, 1e-300)) - np.log(stds) - 0.5 * math.log(2.0 * math.pi)
+    return log_scale[:, None] - d * d
 
 
-def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitReport:
-    """One EM fit, one pass at a time on an (n, K) array, as gmm.em_fit specifies."""
+def reference_squarem_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitReport:
+    """One SQUAREM-accelerated EM fit, one E-step at a time on a (K, n)
+    array, as gmm.em_fit specifies.
+
+    The fit runs on z = (x - c) / s: c is the midrange and s the power of two
+    at or just above the half-range (1 for constant samples). A cycle takes
+    plain steps p -> p1 -> p2, then evaluates p' = p2 + (a - 1)(2 r + (a + 1) v),
+    that is p + 2 a r + a^2 v, in (log weight, mean, log std), with
+    r = p1 - p, v = p2 - 2 p1 + p and a = max(1, |r| / |v|) capped by a bound
+    that starts at 1, grows 4-fold after an accepted step at the bound and
+    shrinks 4-fold (not below 1) after a rejected one. p' is accepted when
+    its log-likelihood is finite and at least p1's, and no component starves;
+    the path then continues from its M-step, else from p2. The fit converges
+    on a plain step p -> p1 that moves the log-likelihood by less than
+    tol * n and reports p1; E-step number max_iter (counting from 0) reports
+    the last accepted point, unconverged.
+
+    The sums, products and norms run in the package's order: the a^2 term
+    multiplies a one-ulp difference in the parameters by up to a^2, and on
+    the slow K = 3 fits of tests/test_em_lanes.py a one-ulp change in the
+    starting means moves the final parameters by up to 8e-9.
+    """
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
     x = np.asarray(samples, dtype=float).ravel()
@@ -186,61 +205,118 @@ def reference_em_fit(samples, n_components: int, config: EmConfig = EmConfig()) 
     n = x.size
     if n < n_components:
         raise InsufficientSamplesError(f"{n} samples cannot support {n_components} components")
-    rng = np.random.default_rng(config.init_seed)
-    floor = _SIGMA_FLOOR * float(x.std())
+    lo, hi = x.min() / 2, x.max() / 2
+    centre = lo + hi
+    scale = 2.0 ** math.frexp(hi - lo)[1]
+    z = (x - centre) / scale
+    floor = _SIGMA_FLOOR * float(z.std())
     if floor <= 0:
         floor = 1e-9
-    weights, means, stds = _initial_params(x, n_components, rng, floor)
+    shift = n * math.log(scale)  # log-likelihood of z minus that of x
+    rng = np.random.default_rng(config.init_seed)
 
-    prev_ll = -math.inf
-    trace: list[float] = []
-    iterations = 0
-    converged = False
-    for _ in range(config.max_iter):
-        log_comp = _reference_log_comp(x, weights, means, stds)
-        log_norm = logsumexp(log_comp, axis=1)
-        ll = float(log_norm.sum())
+    def e_step(params):
+        log_comp = _reference_log_comp(z, *params)
+        peak = log_comp.max(axis=0)
+        peak[~np.isfinite(peak)] = 0.0  # as scipy's logsumexp does
+        dens = np.exp(log_comp - peak)
+        total = dens.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float((np.log(total) + peak).sum()), dens / total
+
+    def m_step(resp):
+        totals = resp.sum(axis=1)
+        means = (resp * z).sum(axis=1) / totals
+        var = ((z[None, :] - means[:, None]) ** 2 * resp).sum(axis=1)
+        return totals / n, means, np.maximum(np.sqrt(var / totals), floor)
+
+    def theta(params):
+        weights, means, stds = params
+        return [np.log(weights), means, np.log(stds)]
+
+    def report(params, converged):
+        ll_trace = np.array(trace) - shift
+        weights, means, stds = params
+        return FitReport(
+            model=make_model(weights, centre + scale * means, scale * stds),
+            log_likelihood=float(ll_trace[-1]),
+            bic=bic(float(ll_trace[-1]), n, n_free_params(n_components)),
+            iterations=e,
+            converged=converged,
+            n_samples=n,
+            ll_trace=ll_trace,
+        )
+
+    def check_plain_step(ll, prev, resp):
         if not math.isfinite(ll):
-            raise DegenerateFitError(f"log-likelihood became {ll!r}")
-        if ll < prev_ll - 1e-9:
-            raise DegenerateFitError(f"log-likelihood decreased from {prev_ll!r} to {ll!r}")
-        trace.append(ll)
-        resp = np.exp(log_comp - log_norm[:, None])
-        resp_totals = resp.sum(axis=0)
-        if resp_totals.min() < 1e-12:
-            starved = int(np.argmin(resp_totals))
+            raise DegenerateFitError(f"log-likelihood became {ll - shift!r}")
+        if ll < prev - 1e-9:
             raise DegenerateFitError(
-                f"component {starved} lost all responsibility (total {resp_totals[starved]!r})"
+                f"log-likelihood decreased from {prev - shift!r} to {ll - shift!r}"
             )
-        if abs(ll - prev_ll) < config.tol * n:
-            converged = True
-            break
-        prev_ll = ll
-        means = (resp.T @ x) / resp_totals
-        var = np.einsum("ik,ik->k", resp, (x[:, None] - means[None, :]) ** 2)
-        stds = np.maximum(np.sqrt(var / resp_totals), floor)
-        weights = resp_totals / n
-        iterations += 1
+        totals = resp.sum(axis=1)
+        if totals.min() < 1e-12:
+            starved = int(np.argmin(totals))
+            raise DegenerateFitError(
+                f"component {starved} lost all responsibility (total {float(totals[starved])!r})"
+            )
 
-    if not converged:
-        log_comp = _reference_log_comp(x, weights, means, stds)
-        trace.append(float(np.sum(logsumexp(log_comp, axis=1))))
-    final_ll = trace[-1]
-    return FitReport(
-        model=make_model(weights, means, stds),
-        log_likelihood=final_ll,
-        bic=bic(final_ll, n, n_free_params(n_components)),
-        iterations=iterations,
-        converged=converged,
-        n_samples=n,
-        ll_trace=np.array(trace),
-    )
+    trace: list[float] = []  # the accepted path
+    step_max = 1.0
+    params = _initial_params(z, n_components, rng, floor)
+    e = 0  # E-steps so far, the one running not counted
+    while True:
+        ll, resp = e_step(params)
+        prev = trace[-1] if trace else -math.inf
+        trace.append(ll)
+        if e == config.max_iter:
+            return report(params, False)
+        check_plain_step(ll, prev, resp)
+        p1 = m_step(resp)
+        e += 1
+
+        ll1, resp1 = e_step(p1)
+        trace.append(ll1)
+        if e == config.max_iter:
+            return report(p1, False)
+        check_plain_step(ll1, ll, resp1)
+        if abs(ll1 - ll) < config.tol * n:
+            return report(p1, True)
+        p2 = m_step(resp1)
+        e += 1
+
+        t0, t1, t2 = theta(params), theta(p1), theta(p2)
+        r = [b - a for a, b in zip(t0, t1)]
+        v = [c - b - d for b, c, d in zip(t1, t2, r)]
+        rr = sum((d * d).sum() for d in r)
+        vv = sum((d * d).sum() for d in v)
+        a = min(step_max, max(1.0, math.sqrt(rr / vv) if vv > 0 else math.inf))
+        log_w, means, log_s = (
+            t + (a - 1.0) * (2.0 * dr + (a + 1.0) * dv) for t, dr, dv in zip(t2, r, v)
+        )
+        with np.errstate(over="ignore"):
+            weights = np.exp(log_w - log_w.max())
+            extrapolated = (weights / weights.sum(), means, np.maximum(np.exp(log_s), floor))
+        ll_x, resp_x = e_step(extrapolated)
+        accepted = math.isfinite(ll_x) and resp_x.sum(axis=1).min() >= 1e-12 and ll_x >= ll1
+        if accepted:
+            trace.append(ll_x)
+        if e == config.max_iter:
+            return report(extrapolated if accepted else p1, False)
+        if accepted:
+            params = m_step(resp_x)
+            if a == step_max:
+                step_max *= 4.0
+        else:
+            params = p2
+            step_max = max(1.0, step_max / 4.0)
+        e += 1
 
 
-# Two-atom data gives K = 3 a duplicate-centre component that starves on the
-# third pass; that pass gains only about 1.1e-6 in total log-likelihood, so a
-# tol per sample above 1.1e-6 / n also converges there, and the starvation
-# check, which comes first, fails the fit at any tol.
+# Two-atom data gives K = 3 a duplicate-centre component that starves at the
+# fourth E-step, the first of the second SQUAREM cycle, where no convergence
+# test runs, so the fit fails at any tol; the tests that pin that failure use
+# this tol.
 STARVE_TOL = 1e-9
 
 
@@ -256,7 +332,7 @@ def reference_sweep(samples, cap: int, config: EmConfig = EmConfig()):
     misses = 0
     for k in range(1, cap + 1):
         try:
-            report = reference_em_fit(samples, k, derive_config(config, k))
+            report = reference_squarem_fit(samples, k, derive_config(config, k))
             rows.append((k, report, None))
         except (DegenerateFitError, InsufficientSamplesError) as exc:
             report = None

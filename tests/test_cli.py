@@ -209,11 +209,16 @@ def test_fit_non_utf8_trace_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {latin}: file is not UTF-8 text\n"
 
 
-def test_fit_huge_magnitudes_exit_2_naming_the_magnitude(tmp_path, capsys):
+def test_fit_huge_magnitudes_fits_both_atoms(tmp_path):
+    # squares of these samples overflow; the fit runs on standardized samples
     path = tmp_path / "huge.csv"
     save_price_trace(price_trace_from_values(np.tile([0.0, 1e200], 12)), path)
-    assert run("fit", "--prices", str(path), "--k-max", "3", "--out", str(tmp_path / "o")) == 2
-    assert "error: sample magnitude 1e+200 is too large" in capsys.readouterr().err
+    assert run("fit", "--prices", str(path), "--k-max", "3", "--out", str(tmp_path / "o")) == 0
+    model = load_model(tmp_path / "o" / "model.json")
+    assert model.weights.tolist() == [0.5, 0.5]
+    assert model.means.tolist() == [0.0, 1e200]
+    # each atom's std sits at the floor, 1e-6 of the samples' std
+    np.testing.assert_allclose(model.stds, 5e193, rtol=1e-12)
 
 
 def test_backtest_load_gap_names_the_load_file(price_csv, tmp_path, capsys):
@@ -243,7 +248,7 @@ def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
 
 
 def test_fit_degenerate_exits_3(price_csv, tmp_path, monkeypatch):
-    def always_degenerate(x, n_components, configs):
+    def always_degenerate(z, n_components, configs, frames):
         return [DegenerateFitError("forced by test") for _ in configs]
 
     monkeypatch.setattr(gridstash.gmm, "_em_lanes", always_degenerate)

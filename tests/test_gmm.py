@@ -135,8 +135,7 @@ def test_em_starved_component_raises():
     x = np.concatenate([np.zeros(30), np.ones(30)])
     with pytest.raises(DegenerateFitError, match="responsibility"):
         em_fit(x, 3, EmConfig(tol=STARVE_TOL))
-    # at the default tol the fit also converges on the starving pass, and the
-    # starvation wins, so no ~1e-14 weight is reported
+    # the default tol fails the fit too, so no ~1e-14 weight is reported
     with pytest.raises(DegenerateFitError, match="responsibility"):
         em_fit(x, 3)
 
@@ -147,6 +146,34 @@ def test_em_constant_data_survives_via_sigma_floor():
     assert report.converged
     assert report.model.means[0] == 2.5
     assert report.model.stds[0] == pytest.approx(1e-9)
+
+
+def test_em_fit_keeps_the_spread_of_tiny_samples():
+    # x.std() of these samples underflows to 0, but the fit runs on the
+    # standardized samples, so the std is the data's, not an absolute floor
+    rng = np.random.default_rng(31)
+    x = rng.normal(5.0, 1.0, 300) * 1e-300
+    report = em_fit(x, 1)
+    assert report.converged
+    assert report.model.stds[0] == pytest.approx(float(np.std(x * 1e300)) * 1e-300, rel=1e-9)
+    assert report.model.means[0] == pytest.approx(float(np.mean(x * 1e300)) * 1e-300, rel=1e-9)
+
+
+def test_em_fit_scales_exactly_with_a_power_of_two():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(0.0, 1.0, 200), rng.normal(5.0, 1.5, 100)])
+    config = EmConfig(init_seed=2)
+    base = em_fit(x, 2, config)
+    for j in (-40, 9, 300):
+        scaled = em_fit(x * 2.0**j, 2, config)
+        assert scaled.iterations == base.iterations
+        assert np.array_equal(scaled.model.weights, base.model.weights)
+        assert np.array_equal(scaled.model.means, base.model.means * 2.0**j)
+        assert np.array_equal(scaled.model.stds, base.model.stds * 2.0**j)
+        # the density of x * 2**j is that of x divided by 2**j at every sample
+        shift = x.size * j * math.log(2.0)
+        assert scaled.log_likelihood == pytest.approx(base.log_likelihood - shift, rel=1e-13)
+        np.testing.assert_allclose(scaled.ll_trace, base.ll_trace - shift, rtol=1e-13, atol=0)
 
 
 def test_fit_candidates_records_failures_per_row():

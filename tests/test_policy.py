@@ -277,6 +277,24 @@ def test_run_policy_computes_one_schedule_per_deadline_hour(monkeypatch):
     assert result.total_cost == total
 
 
+def test_run_policy_in_one_row_chunks_gives_the_same_records(monkeypatch):
+    laws = tuple(UniformDistribution(0.5 * h, 0.5 * h + 10.0) for h in range(24))
+    rng = np.random.default_rng(8)
+    start = datetime(2021, 3, 1, 17)
+    prices = price_trace_from_values(rng.uniform(0.0, 22.0, size=24 * 4), start=start)
+    demand = np.round(rng.uniform(0.0, 3.0, size=24 * 4) * (rng.random(24 * 4) < 0.7), 2)
+    load = load_trace_from_values(demand, start=start)
+    for capacity in (0.0, 2.5, float(demand.sum())):
+        whole = run_policy(prices, load, capacity, laws)
+        with monkeypatch.context() as patch:
+            patch.setattr(gridstash.policy, "_SERVE_CHUNK_CELLS", 1)
+            chunked = run_policy(prices, load, capacity, laws)
+        assert chunked.records.tobytes() == whole.records.tobytes()
+        assert chunked.total_cost == whole.total_cost
+    # storage for all of the demand: windows of days, many pieces per deadline hour
+    assert len(whole.records) > 24 and int(np.max(whole.records.t_end - whole.records.t_start)) > 24
+
+
 def test_run_policy_rejects_misaligned_traces():
     from gridstash.errors import AlignmentError
 
