@@ -1,10 +1,10 @@
 """Price distribution interface used by the threshold policy and the bounds.
 
 Every distribution exposes the handful of functionals the policy recursion
-and the regret machinery need: mean, cdf/pdf, truncated first moment, the
-expected minimum of two independent draws, and seeded sampling. Mixtures
-delegate to the fitting module; uniform and discrete laws and
-mixtures each carry closed forms, so nothing here integrates numerically.
+and the regret machinery need: mean, cdf/pdf, the expected minimum with a
+fixed price, the expected minimum of two independent draws, and seeded
+sampling. Mixtures delegate to the fitting module; uniform and discrete laws
+and mixtures each carry closed forms, so nothing here integrates numerically.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ class PriceDistribution(abc.ABC):
         """P(X <= p)."""
 
     @abc.abstractmethod
-    def partial_expectation(self, a: float, b: float) -> float:
-        """E[X * 1{a < X <= b}]; endpoints may be infinite, a <= b."""
+    def expected_min(self, theta: float) -> float:
+        """E[min(X, theta)]: the expected cost of one more slot when passing
+        it up is worth theta; theta may be infinite."""
 
     @abc.abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray: ...
@@ -71,14 +72,14 @@ class UniformDistribution(PriceDistribution):
         vals = np.clip((x - self.low) / (self.high - self.low), 0.0, 1.0)
         return float(vals) if x.ndim == 0 else vals
 
-    def partial_expectation(self, a: float, b: float) -> float:
-        if a > b:
-            raise ValueError(f"need a <= b, got a={a!r} > b={b!r}")
-        lo = max(a, self.low)
-        hi = min(b, self.high)
-        if hi <= lo:
-            return 0.0
-        return (hi * hi - lo * lo) / (2.0 * (self.high - self.low))
+    def expected_min(self, theta: float) -> float:
+        if theta <= self.low:
+            return theta
+        if theta >= self.high:
+            return self.mean()
+        # (theta^2 - low^2) / 2 below theta, theta (high - theta) above it
+        low, high = self.low, self.high
+        return (theta * theta - low * low + 2.0 * theta * (high - theta)) / (2.0 * (high - low))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
@@ -139,11 +140,8 @@ class DiscreteDistribution(PriceDistribution):
         idx = int(np.searchsorted(self.values, p, side="left"))
         return float(self._cum[idx])
 
-    def partial_expectation(self, a: float, b: float) -> float:
-        if a > b:
-            raise ValueError(f"need a <= b, got a={a!r} > b={b!r}")
-        mask = (self.values > a) & (self.values <= b)
-        return float(np.dot(self.values[mask], self.probs[mask]))
+    def expected_min(self, theta: float) -> float:
+        return float(np.dot(np.minimum(self.values, theta), self.probs))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.values, size=n, p=self.probs)
@@ -177,8 +175,8 @@ class GmmDistribution(PriceDistribution):
     def cdf(self, p):
         return gmm.cdf(self.model, p)
 
-    def partial_expectation(self, a: float, b: float) -> float:
-        return gmm.partial_expectation(self.model, a, b)
+    def expected_min(self, theta: float) -> float:
+        return gmm.expected_min(self.model, theta)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return gmm.sample_with_rng(self.model, n, rng)

@@ -615,22 +615,18 @@ def cdf(model: GmmModel, p) -> float | np.ndarray:
     return float(vals) if x.ndim == 0 else vals
 
 
-def partial_expectation(model: GmmModel, a: float, b: float) -> float:
-    """E[X * 1{a < X <= b}] for the mixture, integrating over full support.
-
-    Accepts -inf/+inf endpoints; requires a <= b.
-    """
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("endpoints must not be NaN")
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a!r} > b={b!r}")
-    za = (a - model.means) / model.stds
-    zb = (b - model.means) / model.stds
-    # exp(-0.5*inf**2) underflows cleanly to 0, covering infinite endpoints
-    phi_a = _INV_SQRT_2PI * np.exp(-0.5 * za * za)
-    phi_b = _INV_SQRT_2PI * np.exp(-0.5 * zb * zb)
-    terms = model.weights * (model.means * (_ndtr_each(zb) - _ndtr_each(za)) + model.stds * (phi_a - phi_b))
-    return float(terms.sum())
+def expected_min(model: GmmModel, theta: float) -> float:
+    """E[min(X, theta)] for the mixture: per component, mu Phi(z) - sigma phi(z)
+    below theta plus theta times the mass above it, with z = (theta - mu) / sigma;
+    no mass lies above theta = +inf, and theta = -inf gives -inf."""
+    with np.errstate(over="ignore"):
+        # z or z * z overflows to inf for theta many stds away, or infinite;
+        # exp(-0.5 * inf) is then 0, the right density
+        z = (theta - model.means) / model.stds
+        phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    mass = _ndtr_each(z)
+    below = float(np.sum(model.weights * (model.means * mass - model.stds * phi)))
+    return below + (theta * (1.0 - float(np.sum(model.weights * mass))) if theta != math.inf else 0.0)
 
 
 def expected_min_of_two(model: GmmModel) -> float:
@@ -678,4 +674,7 @@ def save_model(model: GmmModel, path) -> None:
 
 
 def load_model(path) -> GmmModel:
-    return model_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return model_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # bad JSON, bad UTF-8, or a malformed document
+        raise ValueError(f"{path}: {exc}") from None

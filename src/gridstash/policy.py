@@ -2,10 +2,10 @@
 
 With T slots left and next-slot price law f, the largest price worth paying
 now is the expected cost of continuing optimally, which obeys the backward
-recursion th[j] = E[min(p_{j+1}, th[j+1])] expanded through the truncated
-first moment. The final slot carries an infinite sentinel: the job is forced
-there regardless of price. A buy happens at the first slot whose price is at
-or below its threshold.
+recursion th[j] = E[min(p_{j+1}, th[j+1])], one ``expected_min`` query of the
+following slot's law. The final slot carries an infinite sentinel: the job is
+forced there regardless of price. A buy happens at the first slot whose price
+is at or below its threshold.
 """
 
 from __future__ import annotations
@@ -40,33 +40,29 @@ class ThresholdSchedule:
     thresholds: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.thresholds:
-            raise ValueError("empty threshold schedule")
-        if self.thresholds[-1] != math.inf:
-            raise ValueError("final slot must carry the forced-buy sentinel")
-        for j, th in enumerate(self.thresholds[:-1]):
-            if not math.isfinite(th):
-                raise ValueError(f"threshold {j} is {th!r}; only the last may be infinite")
+        array = np.asarray(self.thresholds, dtype=float)
+        if not array.size or array[-1] != math.inf:
+            raise ValueError("the final slot must carry the forced-buy sentinel +inf")
+        if not np.isfinite(array[:-1]).all():
+            raise ValueError("every threshold before the final one must be finite")
+        array.setflags(write=False)
+        object.__setattr__(self, "_array", array)
 
     @property
     def horizon(self) -> int:
         return len(self.thresholds)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.thresholds, dtype=float)
-
-
-def _one_step(dist: PriceDistribution, theta: float) -> float:
-    """Expected cost of one more slot: E[p; p <= theta] + theta * P(p > theta)."""
-    return dist.partial_expectation(-math.inf, theta) + theta * (1.0 - float(dist.cdf(theta)))
+        """The thresholds as a read-only float array, converted once per schedule."""
+        return self._array
 
 
 def compute_thresholds_timevarying(dists: Sequence[PriceDistribution]) -> ThresholdSchedule:
     """Thresholds when each slot in the window has its own price law.
 
     Slot j's threshold depends only on the laws of slots j+1..T-1; slot T-2
-    gets the last slot's mean and earlier slots apply the one-step recursion
-    with the following slot's law.
+    gets the last slot's mean and each earlier slot the expected minimum of
+    the following slot's price and threshold.
     """
     horizon = len(dists)
     if horizon < 1:
@@ -75,14 +71,12 @@ def compute_thresholds_timevarying(dists: Sequence[PriceDistribution]) -> Thresh
     if horizon >= 2:
         thresholds[horizon - 2] = float(dists[horizon - 1].mean())
         for j in range(horizon - 3, -1, -1):
-            thresholds[j] = _one_step(dists[j + 1], thresholds[j + 1])
+            thresholds[j] = dists[j + 1].expected_min(thresholds[j + 1])
     return ThresholdSchedule(tuple(thresholds))
 
 
 def compute_thresholds_iid(dist: PriceDistribution, horizon: int) -> ThresholdSchedule:
     """Thresholds when every slot shares one law; same code path as time-varying."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     return compute_thresholds_timevarying([dist] * horizon)
 
 
@@ -130,23 +124,27 @@ def run_policy(
     ``laws[h]`` is the price law of hour-of-day h. The load is decomposed
     under the given capacity. A piece's thresholds run backward from its
     deadline, so a piece of length L uses the last L entries of any schedule
-    over a longer window with the same deadline hour. So one schedule per
-    deadline hour, computed over the longest piece that ends at that hour,
-    serves all of that hour's pieces, in row chunks of bounded size: each row
-    is the window ending at the piece's deadline, with the slots before its
-    start set to +inf so they never buy. The buy slots are reassembled into a
-    dispatch that must pass the feasibility check.
+    over a longer window whose deadline hour has the same backward day of law
+    objects. So each deadline hour maps to the first hour with its backward
+    day, and one schedule per such lead hour, over the longest piece it
+    serves, serves all of its pieces (one for 24 copies of one law), in row
+    chunks of bounded size: each row is the window ending at the piece's
+    deadline, with the slots before its start set to +inf so they never buy.
+    The buy slots are reassembled into a dispatch that must pass the
+    feasibility check.
     """
     ensure_aligned(prices, load)
     pieces = decompose(load, capacity)
     t_start, t_end = pieces.t_start, pieces.t_end
     lengths = t_end - t_start + 1
-    end_hours = prices.hours_of_day()[t_end]
+    days = [tuple(id(laws[(hour - j) % HOURS_PER_DAY]) for j in range(HOURS_PER_DAY))
+            for hour in range(HOURS_PER_DAY)]
+    lead_hours = np.array([days.index(day) for day in days])[prices.hours_of_day()[t_end]]
     offsets = np.empty(len(pieces), dtype=np.int64)
     paid = np.empty(len(pieces))
     threshold = np.empty(len(pieces))
-    for hour in np.flatnonzero(np.bincount(end_hours, minlength=HOURS_PER_DAY)).tolist():
-        group = np.flatnonzero(end_hours == hour)
+    for hour in np.flatnonzero(np.bincount(lead_hours, minlength=HOURS_PER_DAY)).tolist():
+        group = np.flatnonzero(lead_hours == hour)
         width = int(lengths[group].max())
         schedule = compute_thresholds_timevarying(
             [laws[(hour - j) % HOURS_PER_DAY] for j in range(width - 1, -1, -1)]

@@ -13,8 +13,9 @@ batched core, and follows the core's operation order so that its parameters
 match to 1e-9 (see reference_squarem_fit). The BIC sweep reference fits one
 K at a time for one group and stops after three consecutive K that fail to
 beat the best BIC, counted from the first fit.
-The mixture CDF and truncated first moment are the vectorised expressions over
-scipy's ``ndtr`` that the package's scalar normal CDF must reproduce exactly.
+The mixture CDF and expected minimum with a fixed price are the vectorised
+expressions over scipy's ``ndtr`` that the package's scalar normal CDF must
+reproduce exactly.
 The expected minimum of two draws integrates p * pdf * survival with scipy's
 quadrature; the density infimum refines the grid minimum with scipy's bounded
 scalar search, where the package zooms with finer numpy grids.
@@ -353,15 +354,16 @@ def reference_cdf(model: GmmModel, p) -> np.ndarray:
     return np.sum(model.weights * ndtr(z), axis=-1)
 
 
-def reference_partial_expectation(model: GmmModel, a: float, b: float) -> float:
-    """E[X * 1{a < X <= b}] for the mixture, with scipy's ndtr."""
-    za = (a - model.means) / model.stds
-    zb = (b - model.means) / model.stds
-    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    phi_a = inv_sqrt_2pi * np.exp(-0.5 * za * za)
-    phi_b = inv_sqrt_2pi * np.exp(-0.5 * zb * zb)
-    terms = model.weights * (model.means * (ndtr(zb) - ndtr(za)) + model.stds * (phi_a - phi_b))
-    return float(terms.sum())
+def reference_expected_min(model: GmmModel, theta: float) -> float:
+    """E[min(X, theta)] for the mixture, with scipy's ndtr: E[X; X <= theta]
+    per component, mu Phi(z) - sigma phi(z), plus theta times the mass above
+    theta, which is none at theta = +inf."""
+    z = (theta - model.means) / model.stds
+    phi = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+    below = float(np.sum(model.weights * (model.means * ndtr(z) - model.stds * phi)))
+    if theta == math.inf:
+        return below
+    return below + theta * (1.0 - float(np.sum(model.weights * ndtr(z))))
 
 
 def reference_expected_min_of_two(dist: PriceDistribution, lo: float, hi: float) -> float:

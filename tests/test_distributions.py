@@ -13,7 +13,7 @@ from gridstash.distributions import (
     GmmDistribution,
     UniformDistribution,
 )
-from gridstash.gmm import make_model
+from gridstash.gmm import expected_min, make_model
 
 
 def test_uniform_basics():
@@ -28,16 +28,18 @@ def test_uniform_basics():
         UniformDistribution(3.0, 3.0)
 
 
-def test_uniform_partial_expectation_closed_form():
-    u = UniformDistribution(0.0, 1.0)
-    # E[X 1{X <= t}] = t^2/2 on U(0,1)
+def test_uniform_expected_min_closed_form():
+    # E[min(X, t)] = t - t^2/2 on U(0,1)
     for t in (0.0, 0.25, 0.5, 1.0):
-        assert u.partial_expectation(-math.inf, t) == pytest.approx(t * t / 2.0, abs=1e-15)
-    assert u.partial_expectation(-math.inf, math.inf) == pytest.approx(0.5)
-    assert u.partial_expectation(0.2, 0.4) == pytest.approx((0.16 - 0.04) / 2.0)
-    assert u.partial_expectation(2.0, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        u.partial_expectation(1.0, 0.0)
+        assert UniformDistribution(0.0, 1.0).expected_min(t) == pytest.approx(t - t * t / 2.0, abs=1e-15)
+    u = UniformDistribution(2.0, 6.0)
+    # the midpoint rule over many equal cells: exact on each linear piece of min(x, theta)
+    x = 2.0 + 4.0 * (np.arange(400_000) + 0.5) / 400_000
+    for theta in (-1.0, 2.0, 2.5, 4.0, 5.999, 6.0, 9.0):
+        assert u.expected_min(theta) == pytest.approx(float(np.minimum(x, theta).mean()), abs=1e-9)
+    assert u.expected_min(1.5) == 1.5
+    assert u.expected_min(math.inf) == u.mean()
+    assert u.expected_min(-math.inf) == -math.inf
 
 
 def test_uniform_expected_min_of_two_closed_form_vs_quadrature():
@@ -83,14 +85,15 @@ def test_discrete_cdf_right_continuous_and_prob_below_strict():
     assert d.prob_below(4.0) == 1.0
 
 
-def test_discrete_partial_expectation_half_open():
+def test_discrete_expected_min_closed_form():
     d = DiscreteDistribution([0.0, 1.0, 3.0], [0.3, 0.4, 0.3])
-    # interval is (a, b]: atom at a excluded, atom at b included
-    assert d.partial_expectation(-math.inf, 1.0) == pytest.approx(0.4)
-    assert d.partial_expectation(0.0, 1.0) == pytest.approx(0.4)
-    assert d.partial_expectation(1.0, 3.0) == pytest.approx(0.9)
-    assert d.partial_expectation(-math.inf, math.inf) == pytest.approx(d.mean())
-    assert d.partial_expectation(0.5, 0.9) == 0.0
+    for theta in (-2.0, 0.0, 0.5, 1.0, 1.3, 2.0, 3.0, 7.0):
+        brute = math.fsum(p * min(v, theta) for v, p in zip(d.values.tolist(), d.probs.tolist()))
+        assert d.expected_min(theta) == pytest.approx(brute, abs=1e-15)
+    # 0.3 * 0 + 0.4 * 1 + 0.3 * 1.3
+    assert d.expected_min(1.3) == pytest.approx(0.79, abs=1e-15)
+    assert d.expected_min(math.inf) == d.mean()
+    assert d.expected_min(-math.inf) == -math.inf
 
 
 def test_discrete_expected_min_of_two_vs_enumeration():
@@ -149,7 +152,8 @@ def test_gmm_distribution_delegates_consistently():
     assert g.cdf(20.0) == pytest.approx(
         0.4 * _norm_cdf(20.0, 10.0, 2.0) + 0.6 * _norm_cdf(20.0, 30.0, 5.0), abs=1e-12
     )
-    assert g.partial_expectation(-math.inf, math.inf) == pytest.approx(g.mean(), abs=1e-9)
+    assert g.expected_min(math.inf) == pytest.approx(g.mean(), abs=1e-9)
+    assert g.expected_min(20.0) == expected_min(model, 20.0)
 
 
 def test_gmm_expected_min_of_two_vs_monte_carlo():

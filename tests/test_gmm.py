@@ -20,8 +20,8 @@ from gridstash.gmm import (
     make_model,
     model_from_json_dict,
     model_to_json_dict,
+    expected_min,
     n_free_params,
-    partial_expectation,
     pdf,
     sample_with_rng,
     save_model,
@@ -217,27 +217,34 @@ def test_pdf_cdf_scalar_and_array():
     assert isinstance(pdf(m, 2.0), float)
 
 
-def test_partial_expectation_matches_quadrature():
+def test_expected_min_matches_quadrature():
     m = make_model((0.35, 0.65), (1.0, 6.0), (0.8, 2.5))
-    for a, b in ((-math.inf, 3.0), (0.0, 5.0), (2.0, math.inf)):
-        lo = a if math.isfinite(a) else -40.0
-        hi = b if math.isfinite(b) else 60.0
-        ref, _ = integrate.quad(lambda t: t * pdf(m, t), lo, hi, limit=200)
-        assert partial_expectation(m, a, b) == pytest.approx(ref, abs=1e-9)
+    for theta in (-3.0, 0.0, 3.0, 5.0, 12.0):
+        ref, _ = integrate.quad(lambda t: min(t, theta) * pdf(m, t), -40.0, 60.0, points=[theta], limit=200)
+        assert expected_min(m, theta) == pytest.approx(ref, abs=1e-9)
 
 
-def test_partial_expectation_full_line_is_mean():
+def test_expected_min_at_infinite_theta():
     m = make_model((0.2, 0.8), (-3.0, 7.0), (1.0, 1.0))
-    assert partial_expectation(m, -math.inf, math.inf) == pytest.approx(m.mean(), abs=1e-12)
+    assert expected_min(m, math.inf) == pytest.approx(m.mean(), abs=1e-12)
+    assert expected_min(m, -math.inf) == -math.inf
 
 
-def test_partial_expectation_rejects_bad_interval():
-    m = make_model((1.0,), (0.0,), (1.0,))
-    with pytest.raises(ValueError):
-        partial_expectation(m, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        partial_expectation(m, math.nan, 1.0)
-    assert partial_expectation(m, 1.0, 1.0) == 0.0
+def test_expected_min_where_z_overflows_is_exact_and_silent():
+    # z = theta / 1e-300 overflows; RuntimeWarnings are errors under pytest here
+    m = make_model((0.5, 0.5), (0.0, 1.0), (1e-300, 1.0))
+    assert expected_min(m, 1e10) == 0.5
+    assert expected_min(m, -1e10) == -1e10
+
+
+def test_expected_min_never_exceeds_theta_or_mean():
+    m = make_model((0.3, 0.7), (2.0, 9.0), (0.5, 3.0))
+    thetas = np.linspace(-10.0, 30.0, 81)
+    values = np.array([expected_min(m, t) for t in thetas.tolist()])
+    assert np.all(values <= np.minimum(thetas, m.mean()) + 1e-12)
+    # nondecreasing with slope at most one: d/dtheta E[min(X, theta)] = P(X > theta)
+    steps = np.diff(values)
+    assert np.all(steps >= -1e-12) and np.all(steps <= np.diff(thetas) + 1e-12)
 
 
 def test_sampling_moments_and_determinism():

@@ -15,7 +15,7 @@ from scipy.special import ndtr
 from gridstash import gmm
 from gridstash.distributions import GmmDistribution
 
-from oracles import reference_cdf, reference_expected_min_of_two, reference_partial_expectation
+from oracles import reference_cdf, reference_expected_min, reference_expected_min_of_two
 
 # |a| = 1: erf vs erfc; sqrt(2): erfc via 1 - erf vs P/Q; 8 sqrt(2): P/Q vs R/S;
 # about 37.7: exp(-a^2 / 2) would pass MAXLOG, the tail is exactly 0
@@ -84,17 +84,20 @@ def _seeded_models(count: int, seed: int):
         yield gmm.make_model(weights, means, stds)
 
 
-def test_cdf_and_partial_expectation_equal_the_scipy_expressions():
+def test_cdf_and_expected_min_equal_the_scipy_expressions():
     rng = np.random.default_rng(21)
     for model in _seeded_models(40, seed=22):
         p = rng.uniform(-60.0, 140.0, 50)
         assert np.array_equal(gmm.cdf(model, p), reference_cdf(model, p))
         for v in (*p[:10].tolist(), -math.inf, math.inf):
             assert gmm.cdf(model, v) == reference_cdf(model, v)
-        ends = np.sort(rng.uniform(-60.0, 140.0, (10, 2)), axis=1).tolist()
-        ends += [[-math.inf, 30.0], [30.0, math.inf], [-math.inf, math.inf]]
-        for a, b in ends:
-            assert gmm.partial_expectation(model, a, b) == reference_partial_expectation(model, a, b)
+        # theta far outside every component puts every z in an ndtr tail
+        lowest = float(np.min(model.means - 40.0 * model.stds))
+        highest = float(np.max(model.means + 40.0 * model.stds))
+        for theta in (*p[10:30].tolist(), lowest, lowest - 1e6, highest, highest + 1e6):
+            assert gmm.expected_min(model, theta) == reference_expected_min(model, theta)
+        assert gmm.expected_min(model, math.inf) == reference_expected_min(model, math.inf)
+        assert gmm.expected_min(model, -math.inf) == -math.inf == reference_expected_min(model, -math.inf)
 
 
 def test_expected_min_of_two_closed_form_matches_quadrature():

@@ -122,6 +122,9 @@ def test_threshold_schedule_validation():
         ThresholdSchedule((math.inf, math.inf))  # early slot must be finite
     sched = ThresholdSchedule((0.25, math.inf))
     assert sched.horizon == 2
+    # converted once, and read-only so no serve can edit the schedule
+    assert sched.as_array() is sched.as_array() and not sched.as_array().flags.writeable
+    assert sched == ThresholdSchedule((0.25, math.inf))
 
 
 def test_serve_one_shot_buy_rules():
@@ -253,28 +256,48 @@ def test_run_policy_matches_per_piece_reference():
     assert crossed_midnight > 0 and longest > 24
 
 
-def test_run_policy_computes_one_schedule_per_deadline_hour(monkeypatch):
-    lengths = []
+def _schedule_widths(monkeypatch, laws):
+    """Serve five days with storage for all of the demand, so every window
+    starts at slot 0 (120 window lengths); check the records against the
+    per-piece reference and return the width of each schedule computed."""
+    widths = []
 
     def counting(dists):
-        lengths.append(len(dists))
+        widths.append(len(dists))
         return compute_thresholds_timevarying(dists)
 
-    monkeypatch.setattr(gridstash.policy, "compute_thresholds_timevarying", counting)
-    laws = tuple(UniformDistribution(0.5 * h, 0.5 * h + 10.0) for h in range(24))
     rng = np.random.default_rng(3)
     start = datetime(2021, 3, 1, 5)
     prices = price_trace_from_values(rng.uniform(0.0, 22.0, size=24 * 5), start=start)
     load = load_trace_from_values(rng.uniform(0.5, 3.0, size=24 * 5), start=start)
-    # storage for the whole demand: every window starts at slot 0, so there
-    # are 120 window lengths but only 24 deadline hours
     capacity = float(load.values.sum())
-    result = run_policy(prices, load, capacity, laws)
+    with monkeypatch.context() as patch:
+        patch.setattr(gridstash.policy, "compute_thresholds_timevarying", counting)
+        result = run_policy(prices, load, capacity, laws)
     assert np.all(result.records.t_start == 0)
-    assert len(lengths) <= 24
     rows, total = oracles.reference_run_policy(prices, load, capacity, laws)
     assert result.records.tolist() == rows
     assert result.total_cost == total
+    return widths
+
+
+def test_run_policy_computes_one_schedule_per_deadline_hour(monkeypatch):
+    laws = tuple(UniformDistribution(0.5 * h, 0.5 * h + 10.0) for h in range(24))
+    assert len(_schedule_widths(monkeypatch, laws)) == 24
+
+
+@pytest.mark.parametrize("period, schedules", [(1, 1), (12, 12)])
+def test_hours_with_the_same_backward_day_of_laws_share_one_schedule(monkeypatch, period, schedules):
+    # law objects repeat every `period` hours; equal but distinct objects do not count as one
+    cycle = [UniformDistribution(0.5 * h, 0.5 * h + 10.0) for h in range(period)]
+    laws = tuple(cycle[h % period] for h in range(24))
+    widths = _schedule_widths(monkeypatch, laws)
+    assert len(widths) == schedules
+    # the first piece ends at slot 0 and the last at slot 119: each lead hour
+    # serves the longest window among its deadline hours
+    assert max(widths) == 24 * 5
+    twins = tuple(UniformDistribution(0.5 * (h % period), 0.5 * (h % period) + 10.0) for h in range(24))
+    assert len(_schedule_widths(monkeypatch, twins)) == 24
 
 
 def test_run_policy_in_one_row_chunks_gives_the_same_records(monkeypatch):
