@@ -34,7 +34,7 @@ from .data_io import (
     split_train_test,
     write_csv,
 )
-from .distributions import GmmDistribution
+from .distributions import GmmDistribution, GmmModel, load_model, save_model
 from .errors import (
     AlignmentError,
     DegenerateFitError,
@@ -133,6 +133,19 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _at_least(cast, low):
+    """An argparse type for a finite number >= ``low``, read by ``cast``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not low <= value < np.inf:  # false for nan, too
+            raise argparse.ArgumentTypeError(f"expected a finite number >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" message names it
+    return parse
+
+
 def _parse_hours(text: str) -> frozenset[int]:
     """Hour sets come as '17-20' ranges or '17,18,19' lists (or a mix)."""
     hours: set[int] = set()
@@ -154,8 +167,8 @@ def _em_config(args) -> gmm.EmConfig:
     return gmm.EmConfig(tol=args.tol, max_iter=args.max_iter, init_seed=args.seed)
 
 
-def _price_model(path: str | None) -> gmm.GmmModel:
-    return DEFAULT_PRICE_MODEL if path is None else gmm.load_model(path)
+def _price_model(path: str | None) -> GmmModel:
+    return DEFAULT_PRICE_MODEL if path is None else load_model(path)
 
 
 def _capacity(args, load) -> float:
@@ -174,7 +187,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args.out)
     (sel,) = gmm.select_models([prices.values], [args.k_max], [_em_config(args)])
     best = sel.best
-    gmm.save_model(best.model, out / "model.json")
+    save_model(best.model, out / "model.json")
     write_csv(
         out / "bic.csv",
         ("K", "n_params", "log_likelihood", "bic", "iterations", "converged", "error", "selected"),
@@ -283,8 +296,6 @@ def cmd_size(args) -> int:
     ensure_aligned(prices, load)
     grid = args.grid
     if grid is None:
-        if args.grid_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {args.grid_points}")
         # saturate around the biggest single day's demand: beyond that,
         # extra capacity cannot move any purchase window further
         days = (len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
@@ -343,7 +354,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_em(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-max", type=int, default=8, help="largest component count per fit")
+    parser.add_argument(
+        "--k-max", type=_at_least(int, 1), default=8, help="largest component count per fit"
+    )
     parser.add_argument(
         "--tol",
         type=float,
@@ -351,15 +364,17 @@ def _add_em(parser: argparse.ArgumentParser) -> None:
         help="EM convergence tolerance: mean log-likelihood gain per sample",
     )
     parser.add_argument(
-        "--max-iter", type=int, default=gmm.EmConfig.max_iter, help="EM iteration cap"
+        "--max-iter", type=_at_least(int, 1), default=gmm.EmConfig.max_iter, help="EM iteration cap"
     )
 
 
 def _add_capacity(parser: argparse.ArgumentParser, scope: str = "") -> None:
-    parser.add_argument("--capacity", type=float, help=f"storage capacity (energy units){scope}")
+    parser.add_argument(
+        "--capacity", type=_at_least(float, 0), help=f"storage capacity (energy units){scope}"
+    )
     parser.add_argument(
         "--capacity-fraction",
-        type=float,
+        type=_at_least(float, 0),
         help=f"capacity as a fraction of peak hourly demand{scope}",
     )
 
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Variant.SINGLE.value,
         help="estimator granularity",
     )
-    p.add_argument("--train-days", type=int, help="whole days of training data")
+    p.add_argument("--train-days", type=_at_least(int, 1), help="whole days of training data")
     _add_capacity(p)
     _add_em(p)
     p.add_argument("--quantile", type=float, help="peak threshold quantile for peak-offpeak")
@@ -403,17 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="mixture JSON for the price law (default: built-in)")
     p.add_argument(
         "--horizons",
-        type=_comma_list(int, "integers"),
+        type=_comma_list(_at_least(int, 1), "integers"),
         default="2,4,8,16,32",
         help="comma-separated window lengths (one-shot mode)",
     )
     p.add_argument(
-        "--runs", type=int, default=10000, help="simulated windows per horizon (one-shot mode)"
+        "--runs", type=_at_least(int, 2), default=10000,
+        help="simulated windows per horizon (one-shot mode)",
     )
     p.add_argument(
         "--bound", action="store_true", help="also compute the shape bound (one-shot mode)"
     )
-    p.add_argument("--days", type=int, default=30, help="days of synthetic load (general mode)")
+    p.add_argument(
+        "--days", type=_at_least(int, 1), default=30, help="days of synthetic load (general mode)"
+    )
     _add_capacity(p, " (general mode)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_montecarlo)
@@ -423,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", help="price trace CSV")
     p.add_argument("--loads", help="load trace CSV")
     p.add_argument("--grid", type=_comma_list(float, "numbers"), help="comma-separated capacities")
-    p.add_argument("--grid-points", type=int, default=11, help="auto grid size")
+    p.add_argument("--grid-points", type=_at_least(int, 2), default=11, help="auto grid size")
     p.add_argument(
         "--amortized-price", type=float, help="per-unit capacity price to select against"
     )
@@ -433,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a seeded synthetic trace CSV")
     _add_common(p)
     p.add_argument("--kind", choices=["price", "load"], help="what to generate")
-    p.add_argument("--hours", type=int, default=24 * 28, help="trace length in hours")
+    p.add_argument("--hours", type=_at_least(int, 1), default=24 * 28, help="trace length in hours")
     p.add_argument("--out", help="output CSV file")
     p.add_argument("--model", help="mixture JSON for prices (default: built-in)")
     p.add_argument(

@@ -8,6 +8,10 @@ independent unit jobs ("pieces"), each with a feasible purchase window
 per piece. The pieces are held as three parallel arrays (``Pieces``), never
 as one object per piece: a year of hourly demand gives ~17k pieces per
 capacity.
+
+The hindsight oracle lives here too: knowing every realized price, a piece
+pays its window minimum (``WindowMinima``, a sparse table over the prices),
+and a trace pays the sum over its pieces.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import LoadTrace
+from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .errors import AssignmentWindowError, LengthMismatchError
 
 # sub-pieces thinner than this are float dust from prefix-sum arithmetic
@@ -123,6 +127,52 @@ def decompose(load: LoadTrace, capacity: float) -> Pieces:
         np.searchsorted(shifted, lower, side="right"),
         np.searchsorted(cumulative, upper, side="left"),
     )
+
+
+class WindowMinima:
+    """Minimum price over any window [t_start, t_end] of a fixed price array.
+
+    A sparse table: row k holds the minimum of every 2**k consecutive prices
+    (row 0 is the array itself), so a window is the minimum of two row-k
+    entries that together cover it, with 2**k the largest power of two not
+    longer than the window. Building costs log2(n) vector minima; a query
+    answers every window at once with two lookups each.
+    """
+
+    def __init__(self, values) -> None:
+        row = np.asarray(values, dtype=float)
+        if row.ndim != 1 or row.size == 0:
+            raise ValueError("window minima need a nonempty 1-D price array")
+        n = row.size
+        table = np.full((n.bit_length(), n), math.inf)
+        table[0] = row
+        for k in range(1, table.shape[0]):
+            half = 1 << (k - 1)
+            stop = n - 2 * half + 1
+            np.minimum(table[k - 1, :stop], table[k - 1, half : half + stop], out=table[k, :stop])
+        self._table = table
+
+    def __call__(self, t_start, t_end) -> np.ndarray:
+        lo = np.asarray(t_start, dtype=np.int64)
+        hi = np.asarray(t_end, dtype=np.int64)
+        # floor(log2(window length)), exact for integers via the float exponent
+        k = np.frexp(hi - lo + 1)[1] - 1
+        return np.minimum(self._table[k, lo], self._table[k, hi + 1 - (1 << k)])
+
+
+def offline_cost(minima: WindowMinima, pieces: Pieces) -> float:
+    """Hindsight cost of a piece set: each piece pays its window minimum."""
+    return math.fsum((pieces.quantity * minima(pieces.t_start, pieces.t_end)).tolist())
+
+
+def offline_optimal_general(prices: PriceTrace, load: LoadTrace, capacity: float) -> float:
+    """Hindsight-optimal cost of serving the whole trace with capacity B.
+
+    Each decomposed piece independently buys at its window minimum; summed,
+    that is the full-information optimum for the coupled storage problem.
+    """
+    ensure_aligned(prices, load)
+    return offline_cost(WindowMinima(prices.values), decompose(load, capacity))
 
 
 def schedule_from_assignments(load: LoadTrace, pieces: Pieces, buy_slots) -> DispatchSchedule:

@@ -1,21 +1,22 @@
-"""Price distribution interface used by the threshold policy and the bounds.
+"""Price laws: the questions the threshold policy and the bounds ask of a law.
 
-Every distribution exposes the handful of functionals the policy recursion
-and the regret machinery need: mean, cdf/pdf, the expected minimum with a
-fixed price, the expected minimum of two independent draws, and seeded
-sampling. Mixtures delegate to the fitting module; uniform and discrete laws
-and mixtures each carry closed forms, so nothing here integrates numerically.
+Every law answers mean, cdf/pdf, the expected minimum with a fixed price, the
+expected minimum of two independent draws, and seeded sampling, each in
+closed form, so nothing here integrates numerically. The Gaussian-mixture law
+lives here whole: its parameters (``GmmModel``), closed forms, sampling and
+JSON form. Its normal CDF is a scalar port of cephes ``ndtr`` (bit for bit
+``scipy.special.ndtr``), so a mixture evaluates without scipy.
 """
 
 from __future__ import annotations
 
 import abc
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-
-from . import gmm
 
 
 class PriceDistribution(abc.ABC):
@@ -160,26 +161,215 @@ class DiscreteDistribution(PriceDistribution):
         return float(self.probs[mask].min())
 
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+
+# cephes ndtr.c: erf on |x| < 1 is x T(x^2) / U(x^2); erfc is exp(-x^2) P(x) / Q(x)
+# below 8 and exp(-x^2) R(x) / S(x) above. Q, S and U carry the leading 1 that
+# cephes leaves implicit (its p1evl); 1 * x is exact, so the sums are the same.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x^2) underflows past it
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner evaluation, highest power first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    # |x| < 1 at every call
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    # x >= 1/sqrt(2) at every call, so cephes' branches for a < 0 never run
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    # math.exp is the C library's exp, as in cephes; np.exp rounds differently
+    z = math.exp(z)
+    if x < 8.0:
+        return (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
+    return (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF at a float; equals scipy.special.ndtr bit for bit."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT_HALF
+    z = abs(x)
+    if z < _SQRT_HALF:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtr_each(z: np.ndarray) -> np.ndarray:
+    """_ndtr of every element; meant for the few (..., K) arrays of one query."""
+    return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class GmmModel:
+    """An immutable mixture: three read-only parameter arrays, sorted by mean,
+    then std, then weight."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
+
+    def __post_init__(self) -> None:
+        w, m, s = (np.asarray(a, dtype=float) for a in (self.weights, self.means, self.stds))
+        if w.ndim != 1 or not w.shape == m.shape == s.shape:
+            raise ValueError("weights, means, stds must have equal length")
+        if w.size == 0:
+            raise ValueError("mixture needs at least one component")
+        if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(s).all()):
+            raise ValueError("component parameters must be finite")
+        if not np.all((w >= -1e-12) & (w <= 1.0 + 1e-12)):
+            raise ValueError(f"component weights {w.tolist()} outside [0, 1]")
+        if not np.all(s > 0):
+            raise ValueError(f"component stds {s.tolist()} must be positive")
+        total = math.fsum(w)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"component weights sum to {total!r}, expected 1")
+        order = np.lexsort((w, s, m))
+        for name, values in (("weights", w), ("means", m), ("stds", s)):
+            values = values[order]
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    @property
+    def n_components(self) -> int:
+        return self.weights.size
+
+    def mean(self) -> float:
+        return float(np.dot(self.weights, self.means))
+
+    def variance(self) -> float:
+        second_moment = float(np.dot(self.weights, self.stds**2 + self.means**2))
+        return second_moment - self.mean() ** 2
+
+    def _key(self) -> tuple:
+        return tuple(tuple(a.tolist()) for a in (self.weights, self.means, self.stds))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GmmModel):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+# the name mixtures are built by across the package, its tests and criteria
+make_model = GmmModel
+
+
 @dataclass(frozen=True)
 class GmmDistribution(PriceDistribution):
-    """A fitted Gaussian mixture viewed as a price law."""
+    """A Gaussian mixture viewed as a price law."""
 
-    model: gmm.GmmModel
+    model: GmmModel
 
     def mean(self) -> float:
         return self.model.mean()
 
     def pdf(self, p):
-        return gmm.pdf(self.model, p)
+        m = self.model
+        x = np.asarray(p, dtype=float)
+        z = (x[..., None] - m.means) / m.stds
+        dens = np.sum(m.weights / m.stds * _INV_SQRT_2PI * np.exp(-0.5 * z * z), axis=-1)
+        return float(dens) if x.ndim == 0 else dens
 
     def cdf(self, p):
-        return gmm.cdf(self.model, p)
+        x = np.asarray(p, dtype=float)
+        z = (x[..., None] - self.model.means) / self.model.stds
+        vals = np.sum(self.model.weights * _ndtr_each(z), axis=-1)
+        return float(vals) if x.ndim == 0 else vals
 
     def expected_min(self, theta: float) -> float:
-        return gmm.expected_min(self.model, theta)
+        """Per component, mu Phi(z) - sigma phi(z) below theta plus theta times
+        the mass above it, with z = (theta - mu) / sigma; no mass lies above
+        theta = +inf, and theta = -inf gives -inf."""
+        m = self.model
+        with np.errstate(over="ignore"):
+            # z or z * z overflows to inf for theta many stds away, or infinite;
+            # exp(-0.5 * inf) is then 0, the right density
+            z = (theta - m.means) / m.stds
+            phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        mass = _ndtr_each(z)
+        below = float(np.sum(m.weights * (m.means * mass - m.stds * phi)))
+        above = theta * (1.0 - float(np.sum(m.weights * mass))) if theta != math.inf else 0.0
+        return below + above
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return gmm.sample_with_rng(self.model, n, rng)
+        return sample_with_rng(self.model, n, rng)
 
     def expected_min_of_two(self) -> float:
-        return gmm.expected_min_of_two(self.model)
+        """min(X, Y) = (X + Y - |X - Y|) / 2, and for components i and j,
+        X_i - Y_j is normal with mean m = mu_i - mu_j and std s = hypot(s_i, s_j),
+        so its folded mean is E|X_i - Y_j| = 2 s phi(m / s) + m (1 - 2 Phi(-m / s))."""
+        model = self.model
+        m = model.means[:, None] - model.means[None, :]
+        s = np.hypot(model.stds[:, None], model.stds[None, :])
+        z = m / s
+        folded = 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * (1.0 - 2.0 * _ndtr_each(-z))
+        return model.mean() - 0.5 * float(model.weights @ folded @ model.weights)
+
+
+def sample_with_rng(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
+        return np.empty(0)
+    picks = rng.choice(model.n_components, size=n, p=model.weights)
+    return rng.normal(model.means[picks], model.stds[picks])
+
+
+def model_to_json_dict(model: GmmModel) -> dict:
+    return {
+        "components": [
+            {"weight": w, "mean": m, "std": s}
+            for w, m, s in zip(model.weights.tolist(), model.means.tolist(), model.stds.tolist())
+        ]
+    }
+
+
+def model_from_json_dict(doc: dict) -> GmmModel:
+    try:
+        comps = doc["components"]
+        return GmmModel(*([float(c[key]) for c in comps] for key in ("weight", "mean", "std")))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed mixture document: {exc}") from None
+
+
+def save_model(model: GmmModel, path) -> None:
+    Path(path).write_text(json.dumps(model_to_json_dict(model), indent=2) + "\n", encoding="utf-8")
+
+
+def load_model(path) -> GmmModel:
+    try:
+        return model_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:  # bad JSON, bad UTF-8, or a malformed document
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,18 +1,14 @@
-"""Offline oracles, performance ratios, worst-case bounds, Monte-Carlo studies.
+"""Online against hindsight: performance ratios, worst-case bounds, Monte-Carlo studies.
 
-The offline oracle knows every realized price: a one-shot job pays the window
-minimum, and a full trace pays the sum of window minima over the decomposed
-pieces. Every window minimum comes from one sparse table over the price array
-(``WindowMinima``): log2(n) + 1 levels of running minima, two lookups per
-window, so a year of pieces costs a few vector operations. Against those, the
-online policy's quality is summarized by additive regret and by cost ratios;
-two closed-form bounds dominate the expected one-shot regret (a
-distribution-shape bound and a mean/std specialization for uniform laws).
-The shape bound's density infimum is a numpy grid search that zooms twice
-into the cells beside the grid minimum, so the bound needs no scipy. A bound
-at or above the mean price is flagged vacuous: the regret never exceeds it.
-Exhaustive oracles over small discrete supports pin the exact expectations the
-simulations must reproduce.
+Against the hindsight oracle (see ``decomposition``), the online policy's
+quality is summarized by additive regret and by cost ratios; two closed-form
+bounds dominate the expected one-shot regret (a distribution-shape bound and
+a mean/std specialization for uniform laws). The shape bound's density
+infimum is a numpy grid search that zooms twice into the cells beside the
+grid minimum, so the bound needs no scipy. A bound at or above the mean price
+is flagged vacuous: the regret never exceeds it. Exhaustive oracles over
+small discrete supports pin the exact expectations the simulations must
+reproduce.
 """
 
 from __future__ import annotations
@@ -23,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned, write_csv
-from .decomposition import Pieces, decompose
+from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, write_csv
+from .decomposition import WindowMinima, offline_optimal_general  # the latter re-exported
 from .distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from .errors import (
     BoundDomainError,
@@ -40,52 +36,6 @@ from .policy import (
     run_policy,
     simulate_one_shot_matrix,
 )
-
-
-class WindowMinima:
-    """Minimum price over any window [t_start, t_end] of a fixed price array.
-
-    A sparse table: row k holds the minimum of every 2**k consecutive prices
-    (row 0 is the array itself), so a window is the minimum of two row-k
-    entries that together cover it, with 2**k the largest power of two not
-    longer than the window. Building costs log2(n) vector minima; a query
-    answers every window at once with two lookups each.
-    """
-
-    def __init__(self, values) -> None:
-        row = np.asarray(values, dtype=float)
-        if row.ndim != 1 or row.size == 0:
-            raise ValueError("window minima need a nonempty 1-D price array")
-        n = row.size
-        table = np.full((n.bit_length(), n), math.inf)
-        table[0] = row
-        for k in range(1, table.shape[0]):
-            half = 1 << (k - 1)
-            stop = n - 2 * half + 1
-            np.minimum(table[k - 1, :stop], table[k - 1, half : half + stop], out=table[k, :stop])
-        self._table = table
-
-    def __call__(self, t_start, t_end) -> np.ndarray:
-        lo = np.asarray(t_start, dtype=np.int64)
-        hi = np.asarray(t_end, dtype=np.int64)
-        # floor(log2(window length)), exact for integers via the float exponent
-        k = np.frexp(hi - lo + 1)[1] - 1
-        return np.minimum(self._table[k, lo], self._table[k, hi + 1 - (1 << k)])
-
-
-def offline_cost(minima: WindowMinima, pieces: Pieces) -> float:
-    """Hindsight cost of a piece set: each piece pays its window minimum."""
-    return math.fsum((pieces.quantity * minima(pieces.t_start, pieces.t_end)).tolist())
-
-
-def offline_optimal_general(prices: PriceTrace, load: LoadTrace, capacity: float) -> float:
-    """Hindsight-optimal cost of serving the whole trace with capacity B.
-
-    Each decomposed piece independently buys at its window minimum; summed,
-    that is the full-information optimum for the coupled storage problem.
-    """
-    ensure_aligned(prices, load)
-    return offline_cost(WindowMinima(prices.values), decompose(load, capacity))
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,27 @@
-"""One-dimensional Gaussian mixture fitting via EM with BIC model selection.
+"""Fitting a one-dimensional Gaussian mixture to samples: EM with BIC model selection.
 
 The fitting loop is written out by hand (log-domain E-step with a
 max-shifted numpy log-sum-exp, closed-form M-step, k-means++-style seeding,
 SQUAREM extrapolation on standardized samples) so its convergence accounting
-and failure modes are fully under our control.
-The normal CDF is a scalar port of cephes ``ndtr`` (the routine behind
-``scipy.special.ndtr``, bit for bit), so fitting and evaluating a mixture
-loads no scipy module. One EM core fits many equal-size sample
-groups ("lanes") with the same component count at once: ``em_fit`` is its
-one-lane case, and ``select_models`` is the one BIC sweep over the component
-count, for one sample group or many.
+and failure modes are fully under our control. One EM core fits many
+equal-size sample groups ("lanes") with the same component count at once:
+``em_fit`` is its one-lane case, and ``select_models`` is the one BIC sweep
+over the component count, for one sample group or many. The fitted law
+(``GmmModel``) lives in ``distributions``; ``make_model`` and
+``sample_with_rng`` are re-exported for callers that import them from here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from .distributions import GmmModel, make_model, sample_with_rng
 from .errors import DegenerateFitError, GridstashError, InsufficientSamplesError
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 # A component whose total responsibility falls below this is starved.
@@ -37,129 +34,6 @@ _BIC_PATIENCE = 3
 # Each component's std is floored at this fraction of its sample's std, or at
 # an absolute 1e-9 when the sample is constant.
 _SIGMA_FLOOR = 1e-6
-
-# cephes ndtr.c: erf on |x| < 1 is x T(x^2) / U(x^2); erfc is exp(-x^2) P(x) / Q(x)
-# below 8 and exp(-x^2) R(x) / S(x) above. Q, S and U carry the leading 1 that
-# cephes leaves implicit (its p1evl); 1 * x is exact, so the sums are the same.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x^2) underflows past it
-
-
-def _polevl(x: float, coef) -> float:
-    """Horner evaluation, highest power first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    # |x| < 1 at every call
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    # x >= 1/sqrt(2) at every call, so cephes' branches for a < 0 never run
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    # math.exp is the C library's exp, as in cephes; np.exp rounds differently
-    z = math.exp(z)
-    if x < 8.0:
-        return (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
-    return (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF at a float; equals scipy.special.ndtr bit for bit."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT_HALF
-    z = abs(x)
-    if z < _SQRT_HALF:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-def _ndtr_each(z: np.ndarray) -> np.ndarray:
-    """_ndtr of every element; meant for the few (..., K) arrays of one query."""
-    return np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
-
-
-@dataclass(frozen=True, eq=False)
-class GmmModel:
-    """An immutable mixture: three read-only parameter arrays, sorted by mean,
-    then std, then weight."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self) -> None:
-        w, m, s = (np.asarray(a, dtype=float) for a in (self.weights, self.means, self.stds))
-        if w.ndim != 1 or not w.shape == m.shape == s.shape:
-            raise ValueError("weights, means, stds must have equal length")
-        if w.size == 0:
-            raise ValueError("mixture needs at least one component")
-        if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(s).all()):
-            raise ValueError("component parameters must be finite")
-        if not np.all((w >= -1e-12) & (w <= 1.0 + 1e-12)):
-            raise ValueError(f"component weights {w.tolist()} outside [0, 1]")
-        if not np.all(s > 0):
-            raise ValueError(f"component stds {s.tolist()} must be positive")
-        total = math.fsum(w)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"component weights sum to {total!r}, expected 1")
-        order = np.lexsort((w, s, m))
-        for name, values in (("weights", w), ("means", m), ("stds", s)):
-            values = values[order]
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.means))
-
-    def variance(self) -> float:
-        second_moment = float(np.dot(self.weights, self.stds**2 + self.means**2))
-        return second_moment - self.mean() ** 2
-
-    def _key(self) -> tuple:
-        return tuple(tuple(a.tolist()) for a in (self.weights, self.means, self.stds))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GmmModel):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-def make_model(weights, means, stds) -> GmmModel:
-    """Build a model from parallel parameter sequences."""
-    return GmmModel(weights, means, stds)
-
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -597,84 +471,3 @@ def select_models(groups, max_components, configs) -> list[Selection]:
         if pick is None:
             raise error
     return [Selection(tuple(group_rows), pick) for group_rows, pick in zip(rows, best)]
-
-
-def pdf(model: GmmModel, p) -> float | np.ndarray:
-    """Mixture density at p (scalar or array)."""
-    x = np.asarray(p, dtype=float)
-    z = (x[..., None] - model.means) / model.stds
-    dens = np.sum(model.weights / model.stds * _INV_SQRT_2PI * np.exp(-0.5 * z * z), axis=-1)
-    return float(dens) if x.ndim == 0 else dens
-
-
-def cdf(model: GmmModel, p) -> float | np.ndarray:
-    """Mixture distribution function at p (scalar or array)."""
-    x = np.asarray(p, dtype=float)
-    z = (x[..., None] - model.means) / model.stds
-    vals = np.sum(model.weights * _ndtr_each(z), axis=-1)
-    return float(vals) if x.ndim == 0 else vals
-
-
-def expected_min(model: GmmModel, theta: float) -> float:
-    """E[min(X, theta)] for the mixture: per component, mu Phi(z) - sigma phi(z)
-    below theta plus theta times the mass above it, with z = (theta - mu) / sigma;
-    no mass lies above theta = +inf, and theta = -inf gives -inf."""
-    with np.errstate(over="ignore"):
-        # z or z * z overflows to inf for theta many stds away, or infinite;
-        # exp(-0.5 * inf) is then 0, the right density
-        z = (theta - model.means) / model.stds
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    mass = _ndtr_each(z)
-    below = float(np.sum(model.weights * (model.means * mass - model.stds * phi)))
-    return below + (theta * (1.0 - float(np.sum(model.weights * mass))) if theta != math.inf else 0.0)
-
-
-def expected_min_of_two(model: GmmModel) -> float:
-    """E[min(X, Y)] for two independent draws from the mixture, in closed form.
-
-    min(X, Y) = (X + Y - |X - Y|) / 2. For components i and j, X_i - Y_j is
-    normal with mean m = mu_i - mu_j and std s = hypot(s_i, s_j), and its
-    folded mean is E|X_i - Y_j| = 2 s phi(m / s) + m (1 - 2 Phi(-m / s)).
-    """
-    m = model.means[:, None] - model.means[None, :]
-    s = np.hypot(model.stds[:, None], model.stds[None, :])
-    z = m / s
-    folded = 2.0 * s * _INV_SQRT_2PI * np.exp(-0.5 * z * z) + m * (1.0 - 2.0 * _ndtr_each(-z))
-    return model.mean() - 0.5 * float(model.weights @ folded @ model.weights)
-
-
-def sample_with_rng(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.empty(0)
-    picks = rng.choice(model.n_components, size=n, p=model.weights)
-    return rng.normal(model.means[picks], model.stds[picks])
-
-
-def model_to_json_dict(model: GmmModel) -> dict:
-    return {
-        "components": [
-            {"weight": w, "mean": m, "std": s}
-            for w, m, s in zip(model.weights.tolist(), model.means.tolist(), model.stds.tolist())
-        ]
-    }
-
-
-def model_from_json_dict(doc: dict) -> GmmModel:
-    try:
-        comps = doc["components"]
-        return GmmModel(*([float(c[key]) for c in comps] for key in ("weight", "mean", "std")))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed mixture document: {exc}") from None
-
-
-def save_model(model: GmmModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_json_dict(model), indent=2) + "\n", encoding="utf-8")
-
-
-def load_model(path) -> GmmModel:
-    try:
-        return model_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValueError as exc:  # bad JSON, bad UTF-8, or a malformed document
-        raise ValueError(f"{path}: {exc}") from None

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gmm
 from .data_io import HOURS_PER_DAY, PriceTrace
-from .distributions import GmmDistribution
+from .distributions import GmmDistribution, GmmModel, model_to_json_dict
 from .errors import InsufficientDataError
 
 
@@ -83,7 +83,7 @@ class PriceEstimator:
     """
 
     variant: Variant
-    models: tuple[gmm.GmmModel, ...]
+    models: tuple[GmmModel, ...]
     hour_index: tuple[int, ...]
     labeling: PeriodLabeling | None = None
     quantile: float | None = None
@@ -178,7 +178,7 @@ def fit_estimator(
 def estimator_to_json_dict(estimator: PriceEstimator) -> dict:
     doc = {
         "variant": estimator.variant.value,
-        "models": [gmm.model_to_json_dict(m) for m in estimator.models],
+        "models": [model_to_json_dict(m) for m in estimator.models],
         "hour_index": list(estimator.hour_index),
     }
     if estimator.labeling is not None:

@@ -5,7 +5,7 @@ The minimum-cost curve MinC(B) is non-increasing with diminishing marginal
 savings (each extra unit of capacity helps no more than the previous one;
 equivalently the savings curve MinC(0) - MinC(B) is concave). The economic
 capacity is the last grid point whose segment still saves at least the
-amortized capacity price per unit.
+amortized capacity price per unit. Sizing uses no price law, fit or policy.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .data_io import LoadTrace, PriceTrace, ensure_aligned, write_csv
-from .decomposition import decompose
-from .evaluation import WindowMinima, offline_cost
+from .decomposition import WindowMinima, decompose, offline_cost
 
 
 @dataclass(frozen=True, eq=False)

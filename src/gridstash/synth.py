@@ -11,10 +11,10 @@ from datetime import datetime
 
 import numpy as np
 
-from . import gmm
 from .data_io import DEFAULT_START, HOURS_PER_DAY, LoadTrace, PriceTrace, hours_of_day
+from .distributions import GmmModel, make_model, sample_with_rng
 
-DEFAULT_PRICE_MODEL = gmm.make_model(
+DEFAULT_PRICE_MODEL = make_model(
     weights=(0.5, 0.3, 0.2),
     means=(25.0, 40.0, 65.0),
     stds=(3.0, 5.0, 8.0),
@@ -23,9 +23,9 @@ DEFAULT_PRICE_MODEL = gmm.make_model(
 DEFAULT_PEAK_HOURS = frozenset(range(17, 21))
 
 
-def shift_model(model: gmm.GmmModel, delta: float) -> gmm.GmmModel:
+def shift_model(model: GmmModel, delta: float) -> GmmModel:
     """The same mixture with every component mean moved by delta."""
-    return gmm.make_model(
+    return make_model(
         model.weights, model.means + float(delta), model.stds
     )
 
@@ -33,8 +33,8 @@ def shift_model(model: gmm.GmmModel, delta: float) -> gmm.GmmModel:
 def synth_prices(
     n_hours: int,
     seed: int,
-    model: gmm.GmmModel = DEFAULT_PRICE_MODEL,
-    peak_model: gmm.GmmModel | None = None,
+    model: GmmModel = DEFAULT_PRICE_MODEL,
+    peak_model: GmmModel | None = None,
     peak_hours: frozenset[int] = DEFAULT_PEAK_HOURS,
     start: datetime = DEFAULT_START,
 ) -> PriceTrace:
@@ -42,13 +42,13 @@ def synth_prices(
     if n_hours < 1:
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    base = gmm.sample_with_rng(model, n_hours, rng)
+    base = sample_with_rng(model, n_hours, rng)
     if peak_model is None:
         values = base
     else:
         # draw both streams unconditionally so the base stream's draws do not
         # depend on which hours are peak
-        alt = gmm.sample_with_rng(peak_model, n_hours, rng)
+        alt = sample_with_rng(peak_model, n_hours, rng)
         mask = np.isin(hours_of_day(start, n_hours), sorted(peak_hours))
         values = np.where(mask, alt, base)
     return PriceTrace(start, values)

@@ -30,17 +30,21 @@ from scipy import integrate, optimize
 from scipy.special import ndtr
 
 from gridstash.data_io import hours_of_day
-from gridstash.distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
+from gridstash.distributions import (
+    DiscreteDistribution,
+    GmmDistribution,
+    GmmModel,
+    PriceDistribution,
+    make_model,
+)
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError, LengthMismatchError
 from gridstash.gmm import (
     _SIGMA_FLOOR,
     EmConfig,
     FitReport,
-    GmmModel,
     _initial_params,
     bic,
     derive_config,
-    make_model,
     n_free_params,
 )
 from gridstash.policy import (

@@ -25,8 +25,8 @@ from gridstash.data_io import (
     save_price_trace,
 )
 from gridstash.decomposition import FeasibilityReport
+from gridstash.distributions import load_model
 from gridstash.errors import DegenerateFitError
-from gridstash.gmm import load_model
 from gridstash.synth import DEFAULT_PRICE_MODEL
 from oracles import STARVE_TOL
 
@@ -95,6 +95,26 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+# each module of the package may load only these package modules: sizing
+# prices pieces in hindsight, the price laws stand alone, and neither the
+# synthetic traces nor the policy needs EM fitting
+@pytest.mark.parametrize("module, allowed", [
+    ("sizing", {"data_io", "decomposition", "errors", "sizing"}),
+    ("distributions", {"distributions"}),
+    ("synth", {"data_io", "distributions", "errors", "synth"}),
+    ("policy", {"data_io", "decomposition", "distributions", "errors", "policy"}),
+])
+def test_importing_a_module_loads_only_its_layers(module, allowed):
+    # a fresh interpreter: this test process has imported every module already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = f"import sys, gridstash.{module}; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = {name.split(".", 1)[1] for name in done.stdout.split() if name.startswith("gridstash.")}
+    assert loaded <= allowed, sorted(loaded - allowed)
+
+
 def test_synth_writes_parseable_traces(price_csv, load_csv):
     prices = load_price_trace(price_csv)
     loads = load_load_trace(load_csv)
@@ -123,8 +143,8 @@ def test_synth_peak_shift_raises_peak_prices(tmp_path):
 
 
 def test_synth_rejects_bad_kind(tmp_path):
-    assert run("synth", "--kind", "price", "--hours", "0",
-               "--out", str(tmp_path / "x.csv")) == 2
+    assert exit_code("synth", "--kind", "price", "--hours", "0",
+                     "--out", str(tmp_path / "x.csv")) == 2
 
 
 def test_fit_outputs_and_reproducibility(price_csv, tmp_path):
@@ -293,10 +313,10 @@ def test_backtest_requires_exactly_one_capacity_flag(price_csv, load_csv, tmp_pa
 
 def test_backtest_nonpositive_k_max_exits_2(price_csv, load_csv, tmp_path, capsys):
     for k_max in ("0", "-3"):
-        assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
-                   "--train-days", "21", "--capacity", "2.0", "--k-max", k_max,
-                   "--out", str(tmp_path / "o")) == 2
-        assert f"error: max_components must be >= 1, got {k_max}" in capsys.readouterr().err
+        assert exit_code("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+                         "--train-days", "21", "--capacity", "2.0", "--k-max", k_max,
+                         "--out", str(tmp_path / "o")) == 2
+        assert f"argument --k-max: expected a finite number >= 1, got '{k_max}'" in capsys.readouterr().err
 
 
 def test_backtest_quantile_needs_peak_offpeak(price_csv, load_csv, tmp_path, capsys):

@@ -117,8 +117,10 @@ def run_checked(argv: list[str], capsys) -> int:
     assert "Traceback" not in err, err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
     if code == 2:
+        # the message itself, not argparse's usage lines above it
+        message = err.strip().splitlines()[-1]
         named = [token for token in argv if token.startswith("--") or os.sep in token]
-        assert any(token in err for token in named), (argv, err)
+        assert any(token in message for token in named), (argv, err)
     return code
 
 
@@ -140,6 +142,34 @@ def test_every_subcommand_on_a_hostile_trace(traces, tmp_path, capsys, name):
         ["montecarlo", "--mode", "general", "--model", model, "--days", "2", "--out", str(tmp_path / "mcg")],
     ]
     assert tuple(run_checked(argv, capsys) for argv in commands) == EXPECTED[name]
+
+
+# one out-of-range value per range-checked option, on a trace every command accepts
+OPTION_ROWS = {
+    "k-max": ["fit", "--k-max", "0"],
+    "max-iter": ["fit", "--max-iter", "0"],
+    "train-days": ["backtest", "--train-days", "0", "--capacity-fraction", "0.5"],
+    "capacity-fraction": ["backtest", "--train-days", "1", "--capacity-fraction", "-0.5"],
+    "capacity": ["backtest", "--train-days", "1", "--capacity", "nan"],
+    "grid-points": ["size", "--grid-points", "1"],
+    "runs": ["montecarlo", "--runs", "1"],
+    "horizons": ["montecarlo", "--horizons", "2,0"],
+    "days": ["montecarlo", "--mode", "general", "--days", "-2"],
+    "hours": ["synth", "--kind", "price", "--hours", "0"],
+}
+
+
+@pytest.mark.parametrize("row", OPTION_ROWS)
+def test_out_of_range_option_exits_2_naming_it(traces, tmp_path, capsys, row):
+    command, *options = OPTION_ROWS[row]
+    prices, loads = map(str, traces["zero-demand-span"])
+    inputs = {
+        "fit": ["--prices", prices],
+        "backtest": ["--prices", prices, "--loads", loads],
+        "size": ["--prices", prices, "--loads", loads],
+    }.get(command, [])
+    out = str(tmp_path / "out")
+    assert run_checked([command, *inputs, *options, "--out", out], capsys) == 2
 
 
 @pytest.mark.parametrize("text", ['{"components": [', '{"components": [{"weight": 1.0, "mean": 1.0}]}'])

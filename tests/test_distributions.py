@@ -1,19 +1,26 @@
-"""Closed-form distribution functionals checked against each other and quadrature."""
+"""Closed-form distribution functionals checked against each other and quadrature,
+and the mixture law's JSON form."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import oracles
 from gridstash.distributions import (
     DiscreteDistribution,
     GmmDistribution,
     UniformDistribution,
+    load_model,
+    make_model,
+    model_from_json_dict,
+    model_to_json_dict,
+    save_model,
 )
-from gridstash.gmm import expected_min, make_model
 
 
 def test_uniform_basics():
@@ -153,7 +160,7 @@ def test_gmm_distribution_delegates_consistently():
         0.4 * _norm_cdf(20.0, 10.0, 2.0) + 0.6 * _norm_cdf(20.0, 30.0, 5.0), abs=1e-12
     )
     assert g.expected_min(math.inf) == pytest.approx(g.mean(), abs=1e-9)
-    assert g.expected_min(20.0) == expected_min(model, 20.0)
+    assert g.expected_min(20.0) == oracles.reference_expected_min(model, 20.0)
 
 
 def test_gmm_expected_min_of_two_vs_monte_carlo():
@@ -175,6 +182,61 @@ def test_expected_min_never_exceeds_mean():
     ]
     for d in dists:
         assert d.expected_min_of_two() <= d.mean() + 1e-12
+
+
+def test_pdf_cdf_scalar_and_array():
+    g = GmmDistribution(make_model((0.5, 0.5), (0.0, 4.0), (1.0, 1.0)))
+    x = np.array([-1.0, 0.0, 2.0, 4.0])
+    dens = g.pdf(x)
+    probs = g.cdf(x)
+    assert isinstance(dens, np.ndarray) and dens.shape == (4,)
+    assert np.all(np.diff(probs) > 0)
+    assert g.cdf(2.0) == pytest.approx(0.5, abs=1e-12)
+    expected = 0.5 * stats.norm.pdf(2.0) + 0.5 * stats.norm.pdf(2.0, 4.0)
+    assert g.pdf(2.0) == pytest.approx(expected, rel=1e-12)
+    assert isinstance(g.pdf(2.0), float)
+
+
+def test_expected_min_matches_quadrature():
+    g = GmmDistribution(make_model((0.35, 0.65), (1.0, 6.0), (0.8, 2.5)))
+    for theta in (-3.0, 0.0, 3.0, 5.0, 12.0):
+        ref, _ = integrate.quad(lambda t: min(t, theta) * g.pdf(t), -40.0, 60.0, points=[theta], limit=200)
+        assert g.expected_min(theta) == pytest.approx(ref, abs=1e-9)
+
+
+def test_expected_min_at_infinite_theta():
+    g = GmmDistribution(make_model((0.2, 0.8), (-3.0, 7.0), (1.0, 1.0)))
+    assert g.expected_min(math.inf) == pytest.approx(g.mean(), abs=1e-12)
+    assert g.expected_min(-math.inf) == -math.inf
+
+
+def test_expected_min_where_z_overflows_is_exact_and_silent():
+    # z = theta / 1e-300 overflows; RuntimeWarnings are errors under pytest here
+    g = GmmDistribution(make_model((0.5, 0.5), (0.0, 1.0), (1e-300, 1.0)))
+    assert g.expected_min(1e10) == 0.5
+    assert g.expected_min(-1e10) == -1e10
+
+
+def test_expected_min_never_exceeds_theta_or_mean():
+    g = GmmDistribution(make_model((0.3, 0.7), (2.0, 9.0), (0.5, 3.0)))
+    thetas = np.linspace(-10.0, 30.0, 81)
+    values = np.array([g.expected_min(t) for t in thetas.tolist()])
+    assert np.all(values <= np.minimum(thetas, g.mean()) + 1e-12)
+    # nondecreasing with slope at most one: d/dtheta E[min(X, theta)] = P(X > theta)
+    steps = np.diff(values)
+    assert np.all(steps >= -1e-12) and np.all(steps <= np.diff(thetas) + 1e-12)
+
+
+def test_json_round_trip(tmp_path):
+    m = make_model((0.25, 0.75), (1.5, -2.5), (0.3, 4.0))
+    d = model_to_json_dict(m)
+    assert model_from_json_dict(d) == m
+    assert model_from_json_dict(json.loads(json.dumps(d))) == m
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    assert load_model(path) == m
+    with pytest.raises(ValueError):
+        model_from_json_dict({"wrong": []})
 
 
 def _norm_cdf(x: float, mu: float, sigma: float) -> float:

@@ -11,6 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 import gridstash.gmm
 import oracles
+from gridstash.distributions import make_model, sample_with_rng
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError
 from gridstash.gmm import (
     EmConfig,
@@ -22,8 +23,6 @@ from gridstash.gmm import (
     derive_config,
     em_fit,
     fit_candidates,
-    make_model,
-    sample_with_rng,
     select_models,
 )
 

@@ -10,10 +10,12 @@ import pytest
 
 import oracles
 from gridstash.data_io import load_trace_from_values, price_trace_from_values
+from gridstash.decomposition import WindowMinima
 from gridstash.distributions import (
     DiscreteDistribution,
     GmmDistribution,
     UniformDistribution,
+    make_model,
 )
 from gridstash.errors import (
     BoundDomainError,
@@ -24,7 +26,6 @@ from gridstash.errors import (
 from gridstash.evaluation import (
     ExperimentReport,
     RegretParams,
-    WindowMinima,
     _density_infimum,
     beta_to_csv,
     brute_force_expected_cost,
@@ -38,7 +39,6 @@ from gridstash.evaluation import (
     shape_bound,
     uniform_bound,
 )
-from gridstash.gmm import make_model
 from gridstash.policy import compute_thresholds_iid
 from gridstash.synth import DEFAULT_PRICE_MODEL
 

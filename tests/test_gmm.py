@@ -1,30 +1,20 @@
-"""Mixture model fitting, selection, queries, and serialization."""
+"""Mixture parameters and sampling, and mixture fitting and selection."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
 
+from gridstash.distributions import make_model, sample_with_rng
 from gridstash.errors import DegenerateFitError, InsufficientSamplesError
 from gridstash.gmm import (
     EmConfig,
     bic,
-    cdf,
     em_fit,
     fit_candidates,
-    load_model,
-    make_model,
-    model_from_json_dict,
-    model_to_json_dict,
-    expected_min,
     n_free_params,
-    pdf,
-    sample_with_rng,
-    save_model,
     select_model,
 )
 from oracles import STARVE_TOL
@@ -204,49 +194,6 @@ def test_select_model_finds_two_well_separated_components():
     assert best.model.n_components == 2
 
 
-def test_pdf_cdf_scalar_and_array():
-    m = make_model((0.5, 0.5), (0.0, 4.0), (1.0, 1.0))
-    x = np.array([-1.0, 0.0, 2.0, 4.0])
-    dens = pdf(m, x)
-    probs = cdf(m, x)
-    assert isinstance(dens, np.ndarray) and dens.shape == (4,)
-    assert np.all(np.diff(probs) > 0)
-    assert cdf(m, 2.0) == pytest.approx(0.5, abs=1e-12)
-    expected = 0.5 * stats.norm.pdf(2.0) + 0.5 * stats.norm.pdf(2.0, 4.0)
-    assert pdf(m, 2.0) == pytest.approx(expected, rel=1e-12)
-    assert isinstance(pdf(m, 2.0), float)
-
-
-def test_expected_min_matches_quadrature():
-    m = make_model((0.35, 0.65), (1.0, 6.0), (0.8, 2.5))
-    for theta in (-3.0, 0.0, 3.0, 5.0, 12.0):
-        ref, _ = integrate.quad(lambda t: min(t, theta) * pdf(m, t), -40.0, 60.0, points=[theta], limit=200)
-        assert expected_min(m, theta) == pytest.approx(ref, abs=1e-9)
-
-
-def test_expected_min_at_infinite_theta():
-    m = make_model((0.2, 0.8), (-3.0, 7.0), (1.0, 1.0))
-    assert expected_min(m, math.inf) == pytest.approx(m.mean(), abs=1e-12)
-    assert expected_min(m, -math.inf) == -math.inf
-
-
-def test_expected_min_where_z_overflows_is_exact_and_silent():
-    # z = theta / 1e-300 overflows; RuntimeWarnings are errors under pytest here
-    m = make_model((0.5, 0.5), (0.0, 1.0), (1e-300, 1.0))
-    assert expected_min(m, 1e10) == 0.5
-    assert expected_min(m, -1e10) == -1e10
-
-
-def test_expected_min_never_exceeds_theta_or_mean():
-    m = make_model((0.3, 0.7), (2.0, 9.0), (0.5, 3.0))
-    thetas = np.linspace(-10.0, 30.0, 81)
-    values = np.array([expected_min(m, t) for t in thetas.tolist()])
-    assert np.all(values <= np.minimum(thetas, m.mean()) + 1e-12)
-    # nondecreasing with slope at most one: d/dtheta E[min(X, theta)] = P(X > theta)
-    steps = np.diff(values)
-    assert np.all(steps >= -1e-12) and np.all(steps <= np.diff(thetas) + 1e-12)
-
-
 def test_sampling_moments_and_determinism():
     m = make_model((0.5, 0.5), (0.0, 10.0), (1.0, 1.0))
     x = sample_with_rng(m, 200_000, np.random.default_rng(21))
@@ -258,15 +205,3 @@ def test_sampling_moments_and_determinism():
     assert sample_with_rng(m, 0, np.random.default_rng(0)).size == 0
     with pytest.raises(ValueError):
         sample_with_rng(m, -1, np.random.default_rng(0))
-
-
-def test_json_round_trip(tmp_path):
-    m = make_model((0.25, 0.75), (1.5, -2.5), (0.3, 4.0))
-    d = model_to_json_dict(m)
-    assert model_from_json_dict(d) == m
-    assert model_from_json_dict(json.loads(json.dumps(d))) == m
-    path = tmp_path / "model.json"
-    save_model(m, path)
-    assert load_model(path) == m
-    with pytest.raises(ValueError):
-        model_from_json_dict({"wrong": []})

@@ -11,6 +11,7 @@ import pytest
 
 from gridstash import gmm
 from gridstash.data_io import price_trace_from_values, split_train_test
+from gridstash.distributions import model_from_json_dict
 from gridstash.errors import InsufficientDataError
 from gridstash.evaluation import daily_cost_ratios
 from gridstash.gmm import EmConfig
@@ -215,7 +216,7 @@ def test_estimator_json_round_trip(tmp_path):
         assert doc["hour_index"] == list(est.hour_index)
         assert len(doc["models"]) == len(est.models)
         for model_doc, model in zip(doc["models"], est.models):
-            assert gmm.model_from_json_dict(model_doc) == model
+            assert model_from_json_dict(model_doc) == model
         if est.labeling is None:
             assert "peak_hours" not in doc
         else:
@@ -256,7 +257,7 @@ def test_hourly_serve_is_shift_invariant():
 
 
 def test_estimator_validation():
-    from gridstash.gmm import make_model
+    from gridstash.distributions import make_model
 
     m = make_model((1.0,), (5.0,), (1.0,))
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """The scalar normal CDF and the closed forms built on it.
 
-``gmm._ndtr`` is a port of cephes ``ndtr``; it must equal scipy's ``ndtr``
+``distributions._ndtr`` is a port of cephes ``ndtr``; it must equal scipy's ``ndtr``
 bit for bit, so mixtures evaluate the same without loading scipy.
 """
 
@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from gridstash import gmm
-from gridstash.distributions import GmmDistribution
+from gridstash import distributions
+from gridstash.distributions import GmmDistribution, make_model
 
 from oracles import reference_cdf, reference_expected_min, reference_expected_min_of_two
 
@@ -28,7 +28,7 @@ def _bits(values) -> np.ndarray:
 
 def _assert_bit_identical(points) -> None:
     points = np.asarray(points, dtype=float)
-    mine = np.array([gmm._ndtr(v) for v in points.tolist()])
+    mine = np.array([distributions._ndtr(v) for v in points.tolist()])
     theirs = ndtr(points)
     same = _bits(mine) == _bits(theirs)
     bad = np.flatnonzero(~same)[:5]
@@ -64,14 +64,14 @@ def test_ndtr_bit_identical_on_both_sides_of_every_branch_edge():
 def test_ndtr_bit_identical_in_the_underflow_tail():
     points = np.concatenate((np.linspace(-38.5, -37.0, 3001), -np.logspace(1.5, 300, 200)))
     _assert_bit_identical(points)
-    assert gmm._ndtr(-38.5) == 0.0 and gmm._ndtr(38.5) == 1.0
+    assert distributions._ndtr(-38.5) == 0.0 and distributions._ndtr(38.5) == 1.0
 
 
 def test_ndtr_special_values():
     _assert_bit_identical([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
-    assert gmm._ndtr(math.inf) == 1.0 and gmm._ndtr(-math.inf) == 0.0
-    assert gmm._ndtr(0.0) == 0.5 and gmm._ndtr(-0.0) == 0.5
-    assert math.isnan(gmm._ndtr(math.nan))
+    assert distributions._ndtr(math.inf) == 1.0 and distributions._ndtr(-math.inf) == 0.0
+    assert distributions._ndtr(0.0) == 0.5 and distributions._ndtr(-0.0) == 0.5
+    assert math.isnan(distributions._ndtr(math.nan))
 
 
 def _seeded_models(count: int, seed: int):
@@ -81,23 +81,24 @@ def _seeded_models(count: int, seed: int):
         weights = rng.dirichlet(np.ones(k))
         means = rng.uniform(-20.0, 80.0, k)
         stds = rng.uniform(0.2, 15.0, k)
-        yield gmm.make_model(weights, means, stds)
+        yield make_model(weights, means, stds)
 
 
 def test_cdf_and_expected_min_equal_the_scipy_expressions():
     rng = np.random.default_rng(21)
     for model in _seeded_models(40, seed=22):
+        dist = GmmDistribution(model)
         p = rng.uniform(-60.0, 140.0, 50)
-        assert np.array_equal(gmm.cdf(model, p), reference_cdf(model, p))
+        assert np.array_equal(dist.cdf(p), reference_cdf(model, p))
         for v in (*p[:10].tolist(), -math.inf, math.inf):
-            assert gmm.cdf(model, v) == reference_cdf(model, v)
+            assert dist.cdf(v) == reference_cdf(model, v)
         # theta far outside every component puts every z in an ndtr tail
         lowest = float(np.min(model.means - 40.0 * model.stds))
         highest = float(np.max(model.means + 40.0 * model.stds))
         for theta in (*p[10:30].tolist(), lowest, lowest - 1e6, highest, highest + 1e6):
-            assert gmm.expected_min(model, theta) == reference_expected_min(model, theta)
-        assert gmm.expected_min(model, math.inf) == reference_expected_min(model, math.inf)
-        assert gmm.expected_min(model, -math.inf) == -math.inf == reference_expected_min(model, -math.inf)
+            assert dist.expected_min(theta) == reference_expected_min(model, theta)
+        assert dist.expected_min(math.inf) == reference_expected_min(model, math.inf)
+        assert dist.expected_min(-math.inf) == -math.inf == reference_expected_min(model, -math.inf)
 
 
 def test_expected_min_of_two_closed_form_matches_quadrature():

@@ -39,9 +39,9 @@ def test_prices_match_model_moments():
 def test_default_model_effectively_positive():
     # the default mixture leaves no visible mass below zero, which the
     # regret-bound machinery requires of price laws
-    from gridstash.gmm import cdf
+    from gridstash.distributions import GmmDistribution
 
-    assert cdf(DEFAULT_PRICE_MODEL, 0.0) < 1e-9
+    assert GmmDistribution(DEFAULT_PRICE_MODEL).cdf(0.0) < 1e-9
 
 
 def test_peak_model_shifts_only_peak_hours():
