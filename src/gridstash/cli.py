@@ -7,7 +7,9 @@ evaluation), montecarlo (one-shot regret or general serving studies), size
 Options may come from a JSON config file (--config): its values become
 command-line tokens placed before the real flags, so one parser checks both
 and a flag wins. --reproducible drops timestamps from outputs so identical
-inputs give identical bytes.
+inputs give identical bytes. Each command lays out its own artifacts from the
+values the library returns; only the trace and model formats, which are also
+inputs, live beside their readers in data_io and distributions.
 
 Exit codes: 0 success, 2 bad input, 3 fit failure, 4 experiment failure.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime
@@ -34,7 +37,7 @@ from .data_io import (
     split_train_test,
     write_csv,
 )
-from .distributions import GmmDistribution, GmmModel, load_model, save_model
+from .distributions import GmmDistribution, GmmModel, load_model, model_to_json_dict, save_model
 from .errors import (
     AlignmentError,
     DegenerateFitError,
@@ -44,18 +47,9 @@ from .errors import (
     TraceParseError,
     TraceValidationError,
 )
-from .evaluation import (
-    beta_rows,
-    beta_to_csv,
-    daily_cost_ratios,
-    gamma_to_csv,
-    general_serving_study,
-    one_shot_regret_study,
-    report_to_json_dict,
-)
-from .heuristics import Variant, estimator_to_json_dict, fit_estimator, save_estimator
-from .policy import decisions_to_csv
-from .sizing import curve_to_csv, min_cost_curve, optimal_capacity
+from .evaluation import daily_cost_ratios, general_serving_study, one_shot_regret_study
+from .heuristics import Variant, fit_estimator
+from .sizing import min_cost_curve, optimal_capacity
 from .synth import DEFAULT_PEAK_HOURS, DEFAULT_PRICE_MODEL, shift_model, synth_load, synth_prices
 
 
@@ -102,21 +96,46 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _write_json(path: Path, doc: dict, reproducible: bool) -> None:
+def _write_json(path: Path, doc: dict, reproducible: bool, sort_keys: bool = True) -> None:
+    """Write ``doc`` as indented JSON, stamped with the time unless ``reproducible``.
+
+    NaN and infinities raise ValueError: no JSON parser is obliged to read them.
+    """
     if not reproducible:
         doc = {**doc, "created_at": datetime.now().isoformat(timespec="seconds")}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
-def _comma_list(cast, what: str):
-    """An argparse type for comma-separated values, each read by ``cast``."""
+def _beta_rows(days: np.recarray) -> list[dict]:
+    """report.json rows of a ``DailyScores.days`` table; a day without a ratio
+    has ``"beta": null``."""
+    # .tolist() gives Python numbers, which json writes without numpy types
+    return [
+        {"day": day, "online_cost": on, "offline_cost": off, "beta": None if math.isnan(b) else b}
+        for day, on, off, b in days.tolist()
+    ]
+
+
+def _write_beta_csv(days: np.recarray, path: Path) -> None:
+    """beta.csv: the days that have a ratio, as (day, beta) rows."""
+    scored = days[~np.isnan(days.beta)]
+    write_csv(path, ("day", "beta"), zip(scored.day.tolist(), scored.beta.tolist()))
+
+
+def _comma_list(cast, what: str, min_count: int):
+    """An argparse type for at least ``min_count`` comma-separated values,
+    each read by ``cast``."""
 
     def parse(text: str) -> list:
         try:
-            return [cast(part) for part in text.split(",") if part.strip()]
+            values = [cast(part) for part in text.split(",") if part.strip()]
         except ValueError:
             message = f"expected comma-separated {what}, got {text!r}"
             raise argparse.ArgumentTypeError(message) from None
+        if len(values) < min_count:
+            raise argparse.ArgumentTypeError(f"expected {min_count} or more {what}, got {text!r}")
+        return values
 
     return parse
 
@@ -133,17 +152,26 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _at_least(cast, low):
+def _at_least(cast, low=-math.inf):
     """An argparse type for a finite number >= ``low``, read by ``cast``."""
+    expected = "a finite number" + (f" >= {low}" if low > -math.inf else "")
 
     def parse(text: str):
         value = cast(text)
-        if not low <= value < np.inf:  # false for nan, too
-            raise argparse.ArgumentTypeError(f"expected a finite number >= {low}, got {text!r}")
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
     parse.__name__ = cast.__name__  # argparse's "invalid int value" message names it
     return parse
+
+
+def _grid(text: str) -> list[float]:
+    """An argparse type for --grid: strictly increasing capacities."""
+    grid = _comma_list(_at_least(float, 0), "capacities", 2)(text)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"expected strictly increasing capacities, got {text!r}")
+    return grid
 
 
 def _parse_hours(text: str) -> frozenset[int]:
@@ -243,6 +271,15 @@ def cmd_backtest(args) -> int:
     )
     scores = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator.laws)
     summary = scores.summary
+    estimator_doc = {
+        "variant": estimator.variant.value,
+        "models": [model_to_json_dict(m) for m in estimator.models],
+        "hour_index": list(estimator.hour_index),
+    }
+    if estimator.labeling is not None:
+        estimator_doc["peak_hours"] = sorted(estimator.labeling.peak)
+    if estimator.quantile is not None:
+        estimator_doc["quantile"] = estimator.quantile
     doc = {
         "config": {
             "variant": args.variant,
@@ -251,15 +288,18 @@ def cmd_backtest(args) -> int:
             "train_slots": len(price_split.train),
             "test_slots": len(price_split.test),
         },
-        "estimator": estimator_to_json_dict(estimator),
+        "estimator": estimator_doc,
         "fits": list(estimator.fit_diagnostics),
-        "beta": beta_rows(scores.days),
+        "beta": _beta_rows(scores.days),
         "summary": summary,
     }
     _write_json(out / "report.json", doc, args.reproducible)
-    save_estimator(estimator, out / "estimator.json")
-    decisions_to_csv(scores.result, out / "decisions.csv")
-    beta_to_csv(scores.days, out / "beta.csv")
+    _write_json(out / "estimator.json", estimator_doc, reproducible=True, sort_keys=False)
+    rec = scores.result.records
+    names = ("quantity", "t_start", "t_end", "buy_slot", "price", "threshold")
+    columns = [rec[name].tolist() for name in names] + [rec.forced.astype(int).tolist()]
+    write_csv(out / "decisions.csv", ("piece_id", *names, "forced"), zip(range(len(rec)), *columns))
+    _write_beta_csv(scores.days, out / "beta.csv")
     print(
         f"backtest: {len(scores.days)} days, mean beta {summary['beta_mean']:.4f}, "
         f"online {summary['total_online']:.2f} vs offline {summary['total_offline']:.2f} -> {out}"
@@ -275,7 +315,25 @@ def cmd_montecarlo(args) -> int:
         report = one_shot_regret_study(
             dist, args.horizons, args.runs, args.seed, include_bound=args.bound
         )
-        gamma_to_csv(report, out / "gamma.csv")
+        rows = []
+        for point in report.gamma_points:
+            row = asdict(point)
+            row["T"] = row.pop("horizon")
+            # a density infimum near the smallest float overflows 2 / sum(betas);
+            # such a bound is vacuous, and JSON has no infinity
+            if row["bound"] is not None and not math.isfinite(row["bound"]):
+                row["bound"] = None
+            rows.append(row)
+        doc = {
+            "kind": "one_shot_regret",
+            "config": {"horizons": args.horizons, "n_runs": args.runs, "include_bound": args.bound},
+            "gamma": rows,
+        }
+        write_csv(
+            out / "gamma.csv",
+            ("T", "gamma_mean", "gamma_ci_lo", "gamma_ci_hi"),
+            ((pt.horizon, pt.gamma, pt.gamma_ci_lo, pt.gamma_ci_hi) for pt in report.gamma_points),
+        )
     else:
         load = synth_load(args.days * HOURS_PER_DAY, seed=args.seed + 1)
         if args.capacity is None and args.capacity_fraction is None:
@@ -283,8 +341,14 @@ def cmd_montecarlo(args) -> int:
         else:
             capacity = _capacity(args, load)
         report = general_serving_study(dist, load, capacity, args.seed)
-        beta_to_csv(report.beta_points, out / "beta.csv")
-    _write_json(out / "report.json", report_to_json_dict(report), args.reproducible)
+        doc = {
+            "kind": "general_serving",
+            "config": {"capacity": capacity, "n_slots": len(load)},
+            "beta": _beta_rows(report.beta_points),
+        }
+        _write_beta_csv(report.beta_points, out / "beta.csv")
+    doc.update(seed=args.seed, summary=report.summary)
+    _write_json(out / "report.json", doc, args.reproducible)
     print(f"montecarlo {args.mode}: {report.summary} -> {out}")
     return 0
 
@@ -306,11 +370,14 @@ def cmd_size(args) -> int:
         grid = list(np.linspace(0.0, max(max(daily), 1.0), args.grid_points))
     curve = min_cost_curve(prices, load, grid)
     out = _out_dir(args.out)
-    curve_to_csv(curve, out / "curve.csv")
+    savings = curve.marginal_savings()
+    # a row's saving is that of the segment starting at B, so the last is empty
+    rows = zip(curve.capacities, curve.costs, (*savings, ""))
+    write_csv(out / "curve.csv", ("B", "min_cost", "marginal_saving"), rows)
     doc: dict = {
         "grid": list(curve.capacities),
         "min_cost": list(curve.costs),
-        "marginal_saving": list(curve.marginal_savings()),
+        "marginal_saving": list(savings),
     }
     if args.amortized_price is not None:
         result = optimal_capacity(curve, args.amortized_price)
@@ -418,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="mixture JSON for the price law (default: built-in)")
     p.add_argument(
         "--horizons",
-        type=_comma_list(_at_least(int, 1), "integers"),
+        type=_comma_list(_at_least(int, 1), "integers", 1),
         default="2,4,8,16,32",
         help="comma-separated window lengths (one-shot mode)",
     )
@@ -440,10 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--prices", help="price trace CSV")
     p.add_argument("--loads", help="load trace CSV")
-    p.add_argument("--grid", type=_comma_list(float, "numbers"), help="comma-separated capacities")
+    p.add_argument("--grid", type=_grid, help="comma-separated increasing capacities")
     p.add_argument("--grid-points", type=_at_least(int, 2), default=11, help="auto grid size")
     p.add_argument(
-        "--amortized-price", type=float, help="per-unit capacity price to select against"
+        "--amortized-price",
+        type=_at_least(float, 0),
+        help="per-unit capacity price to select against",
     )
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_size)
@@ -455,7 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV file")
     p.add_argument("--model", help="mixture JSON for prices (default: built-in)")
     p.add_argument(
-        "--peak-shift", type=float, help="mean shift applied during peak hours (price kind)"
+        "--peak-shift",
+        type=_at_least(float),
+        help="mean shift applied during peak hours (price kind)",
     )
     p.add_argument(
         "--peak-hours",
@@ -463,10 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PEAK_HOURS,
         help="peak hours, e.g. 17-20",
     )
-    p.add_argument("--base", type=float, help="baseline demand (load kind)")
-    p.add_argument("--amplitude", type=float, help="daily bump height (load kind)")
+    p.add_argument("--base", type=_at_least(float, 0), help="baseline demand (load kind)")
+    p.add_argument("--amplitude", type=_at_least(float, 0), help="daily bump height (load kind)")
     p.add_argument("--peak-hour", type=int, help="bump center (load kind)")
-    p.add_argument("--noise", type=float, help="uniform noise width (load kind)")
+    p.add_argument("--noise", type=_at_least(float, 0), help="uniform noise width (load kind)")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -204,7 +204,11 @@ def load_load_trace(path) -> LoadTrace:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header row, then every row in one ``writerows`` call."""
+    """Write a header row, then every row in one ``writerows`` call.
+
+    The csv module writes a float as str(), its shortest round-trip form
+    (``inf`` too), so a float cell needs no formatting.
+    """
     with open(Path(path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

@@ -14,12 +14,12 @@ reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, write_csv
+from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace
 from .decomposition import WindowMinima, offline_optimal_general  # the latter re-exported
 from .distributions import DiscreteDistribution, GmmDistribution, PriceDistribution
 from .errors import (
@@ -184,14 +184,11 @@ class GammaPoint:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything a study produced, ready for JSON/CSV serialization.
-
-    ``beta_points`` is the ``DailyScores.days`` table of a serving study.
+    """What a study measured: the one-shot study fills ``gamma_points``, the
+    serving study ``beta_points`` (its ``DailyScores.days`` table), and both
+    fill ``summary``.
     """
 
-    kind: str
-    seed: int
-    config: dict
     gamma_points: tuple[GammaPoint, ...] = ()
     beta_points: np.recarray | None = None
     summary: dict = field(default_factory=dict)
@@ -257,13 +254,6 @@ def one_shot_regret_study(
         )
     gammas = [pt.gamma for pt in points]
     return ExperimentReport(
-        kind="one_shot_regret",
-        seed=seed,
-        config={
-            "horizons": [int(h) for h in horizons],
-            "n_runs": int(n_runs),
-            "include_bound": include_bound,
-        },
         gamma_points=tuple(points),
         summary={"gamma_max": max(gammas), "gamma_min": min(gammas)},
     )
@@ -344,57 +334,6 @@ def general_serving_study(
     prices = PriceTrace(load.start, dist.sample(len(load), rng))
     scores = daily_cost_ratios(prices, load, capacity, (dist,) * HOURS_PER_DAY)
     return ExperimentReport(
-        kind="general_serving",
-        seed=seed,
-        config={"capacity": float(capacity), "n_slots": len(load)},
         beta_points=scores.days,
         summary=scores.summary,
     )
-
-
-def report_to_json_dict(report: ExperimentReport) -> dict:
-    doc = {
-        "kind": report.kind,
-        "seed": report.seed,
-        "config": report.config,
-        "summary": report.summary,
-    }
-    if report.gamma_points:
-        rows = [asdict(pt) for pt in report.gamma_points]
-        for row in rows:
-            row["T"] = row.pop("horizon")
-        doc["gamma"] = rows
-    if report.beta_points is not None:
-        doc["beta"] = beta_rows(report.beta_points)
-    return doc
-
-
-def beta_rows(days: np.recarray) -> list[dict]:
-    """JSON rows of daily costs; a day without a ratio has ``"beta": null``."""
-    # .tolist() gives Python numbers, which json writes without numpy types
-    return [
-        {
-            "day": day,
-            "online_cost": online,
-            "offline_cost": offline,
-            "beta": None if math.isnan(beta) else beta,
-        }
-        for day, online, offline, beta in days.tolist()
-    ]
-
-
-def gamma_to_csv(report: ExperimentReport, path) -> None:
-    write_csv(
-        path,
-        ("T", "gamma_mean", "gamma_ci_lo", "gamma_ci_hi"),
-        (
-            (pt.horizon, repr(pt.gamma), repr(pt.gamma_ci_lo), repr(pt.gamma_ci_hi))
-            for pt in report.gamma_points
-        ),
-    )
-
-
-def beta_to_csv(days: np.recarray, path) -> None:
-    """Write the days that have a ratio as (day, beta) rows."""
-    scored = days[~np.isnan(days.beta)]
-    write_csv(path, ("day", "beta"), zip(scored.day.tolist(), map(repr, scored.beta.tolist())))

@@ -14,16 +14,14 @@ fitted law, which is all the policy needs.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import gmm
 from .data_io import HOURS_PER_DAY, PriceTrace
-from .distributions import GmmDistribution, GmmModel, model_to_json_dict
+from .distributions import GmmDistribution, GmmModel
 from .errors import InsufficientDataError
 
 
@@ -172,23 +170,4 @@ def fit_estimator(
         labeling=labeling,
         quantile=quantile,
         fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
-    )
-
-
-def estimator_to_json_dict(estimator: PriceEstimator) -> dict:
-    doc = {
-        "variant": estimator.variant.value,
-        "models": [model_to_json_dict(m) for m in estimator.models],
-        "hour_index": list(estimator.hour_index),
-    }
-    if estimator.labeling is not None:
-        doc["peak_hours"] = sorted(estimator.labeling.peak)
-    if estimator.quantile is not None:
-        doc["quantile"] = estimator.quantile
-    return doc
-
-
-def save_estimator(estimator: PriceEstimator, path) -> None:
-    Path(path).write_text(
-        json.dumps(estimator_to_json_dict(estimator), indent=2) + "\n", encoding="utf-8"
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned, write_csv
+from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import (
     DispatchSchedule,
     decompose,
@@ -176,25 +176,4 @@ def run_policy(
         schedule=dispatch,
         records=records,
         total_cost=math.fsum((pieces.quantity * paid).tolist()),
-    )
-
-
-def decisions_to_csv(result: SimulationResult, path) -> None:
-    """Per-piece decision log; floats serialize as repr so 'inf' survives."""
-    rec = result.records
-    # .tolist() gives Python numbers, whose repr has no numpy type wrapper
-    rows = zip(
-        range(len(rec)),
-        map(repr, rec.quantity.tolist()),
-        rec.t_start.tolist(),
-        rec.t_end.tolist(),
-        rec.buy_slot.tolist(),
-        map(repr, rec.price.tolist()),
-        map(repr, rec.threshold.tolist()),
-        rec.forced.astype(int).tolist(),
-    )
-    write_csv(
-        path,
-        ("piece_id", "quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced"),
-        rows,
     )

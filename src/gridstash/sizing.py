@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data_io import LoadTrace, PriceTrace, ensure_aligned, write_csv
+from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .decomposition import WindowMinima, decompose, offline_cost
 
 
@@ -108,17 +108,4 @@ def optimal_capacity(curve: SizingCurve, amortized_price: float) -> SizingResult
         capacity=curve.capacities[best],
         amortized_price=amortized_price,
         cost_at_capacity=curve.costs[best],
-    )
-
-
-def curve_to_csv(curve: SizingCurve, path) -> None:
-    """Rows of B, cost, and the saving rate of the segment starting at B."""
-    marg = curve.marginal_savings()
-    write_csv(
-        path,
-        ("B", "min_cost", "marginal_saving"),
-        (
-            (repr(b), repr(c), repr(marg[i]) if i < len(marg) else "")
-            for i, (b, c) in enumerate(zip(curve.capacities, curve.costs))
-        ),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -25,7 +26,7 @@ from gridstash.data_io import (
     save_price_trace,
 )
 from gridstash.decomposition import FeasibilityReport
-from gridstash.distributions import load_model
+from gridstash.distributions import load_model, model_from_json_dict
 from gridstash.errors import DegenerateFitError
 from gridstash.synth import DEFAULT_PRICE_MODEL
 from oracles import STARVE_TOL
@@ -612,3 +613,212 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_noise_exits_2_naming_it(tmp_path, capsys, value):
+    out = tmp_path / "load.csv"
+    assert exit_code("synth", "--kind", "load", "--noise", value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"argument --noise: expected a finite number >= 0, got '{value}'" in err
+    assert not out.exists()
+
+
+def test_montecarlo_overflowed_bound_is_written_as_null(tmp_path):
+    # the density infimum on [0, θ] is subnormal, so 2 / sum(betas) overflows
+    model = tmp_path / "model.json"
+    model.write_text('{"components": [{"weight": 1.0, "mean": 60.0, "std": 1.58}]}')
+    out = tmp_path / "mc"
+    assert run("montecarlo", "--model", str(model), "--horizons", "2,3", "--runs", "200",
+               "--bound", "--out", str(out), "--reproducible") == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads((out / "report.json").read_text(), parse_constant=reject)["gamma"]
+    assert [(row["bound"], row["bound_vacuous"]) for row in rows] == [(None, True), (None, True)]
+
+
+# the files each command writes, as README's table lists them; synth's --out
+# names its one file
+@pytest.mark.parametrize("command, files", [
+    (["fit", "--k-max", "2"], {"model.json", "fit_report.json", "bic.csv"}),
+    (["backtest", "--train-days", "21", "--capacity", "2.0", "--k-max", "2"],
+     {"report.json", "estimator.json", "decisions.csv", "beta.csv"}),
+    (["size", "--grid-points", "3"], {"result.json", "curve.csv"}),
+    (["montecarlo", "--runs", "100", "--horizons", "2"], {"report.json", "gamma.csv"}),
+    (["montecarlo", "--mode", "general", "--days", "2"], {"report.json", "beta.csv"}),
+    (["synth", "--kind", "load", "--hours", "24"], {"synth.csv"}),
+], ids=["fit", "backtest", "size", "montecarlo-one-shot", "montecarlo-general", "synth"])
+def test_each_command_writes_exactly_its_documented_files(price_csv, load_csv, tmp_path, command,
+                                                          files):
+    traces = {"fit": ["--prices", str(price_csv)], "montecarlo": [], "synth": []}.get(
+        command[0], ["--prices", str(price_csv), "--loads", str(load_csv)]
+    )
+    out = tmp_path / "out"
+    target = out / "synth.csv" if command[0] == "synth" else out
+    assert run(*command, *traces, "--out", str(target)) == 0
+    assert {p.name for p in out.iterdir()} == files
+
+
+def _capture(monkeypatch, name: str) -> list:
+    """Record every value ``cli.<name>`` returns while the test runs."""
+    returned = []
+    wrapped = getattr(cli, name)
+
+    def keep(*args, **kwargs):
+        returned.append(wrapped(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, name, keep)
+    return returned
+
+
+def _backtest_records(price_csv, load_csv, tmp_path, monkeypatch) -> tuple[np.recarray, str]:
+    scores = _capture(monkeypatch, "daily_cost_ratios")
+    out = tmp_path / "bt"
+    assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+               "--train-days", "21", "--capacity", "2.0", "--k-max", "2",
+               "--out", str(out), "--reproducible") == 0
+    return scores[0].result.records, (out / "decisions.csv").read_text(encoding="utf-8")
+
+
+def test_decisions_csv_round_trips_inf_thresholds(price_csv, load_csv, tmp_path, monkeypatch):
+    rec, text = _backtest_records(price_csv, load_csv, tmp_path, monkeypatch)
+    header, *rows = list(csv.reader(text.splitlines()))
+    assert header == [
+        "piece_id", "quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced",
+    ]
+    assert len(rows) == len(rec) > 0
+    assert [float(row[6]) for row in rows] == rec.threshold.tolist()  # 'inf' parses back
+    assert math.inf in rec.threshold.tolist()
+    assert "inf" in [row[6] for row in rows]
+
+
+def test_decisions_csv_holds_python_numbers(price_csv, load_csv, tmp_path, monkeypatch):
+    # a numpy scalar would print as np.float64(...)
+    rec, text = _backtest_records(price_csv, load_csv, tmp_path, monkeypatch)
+    assert "np." not in text
+    rows = list(csv.reader(text.splitlines()))[1:]
+    assert [int(r[0]) for r in rows] == list(range(len(rec)))
+    for col, name, parse in (
+        (1, "quantity", float), (2, "t_start", int), (3, "t_end", int), (4, "buy_slot", int),
+        (5, "price", float), (6, "threshold", float), (7, "forced", int),
+    ):
+        assert [parse(r[col]) for r in rows] == rec[name].tolist(), name
+
+
+def test_report_json_and_csv_round_trip(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text('{"components": [{"weight": 1.0, "mean": 20.0, "std": 3.0}]}')
+    out = tmp_path / "mc"
+    assert run("montecarlo", "--model", str(model), "--horizons", "2,3", "--runs", "500",
+               "--seed", "1", "--bound", "--out", str(out), "--reproducible") == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["kind"] == "one_shot_regret"
+    assert doc["seed"] == 1
+    assert doc["config"] == {"horizons": [2, 3], "n_runs": 500, "include_bound": True}
+    lines = (out / "gamma.csv").read_text().strip().splitlines()
+    assert lines[0] == "T,gamma_mean,gamma_ci_lo,gamma_ci_hi"
+    assert [[float(cell) for cell in line.split(",")] for line in lines[1:]] == [
+        [row["T"], row["gamma"], row["gamma_ci_lo"], row["gamma_ci_hi"]] for row in doc["gamma"]
+    ]
+    assert [row["T"] for row in doc["gamma"]] == [2, 3]
+
+    out = tmp_path / "mcg"
+    assert run("montecarlo", "--mode", "general", "--model", str(model), "--days", "3",
+               "--capacity", "1.0", "--seed", "3", "--out", str(out), "--reproducible") == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["kind"] == "general_serving"
+    assert doc["config"] == {"capacity": 1.0, "n_slots": 72}
+    lines = (out / "beta.csv").read_text().strip().splitlines()
+    assert lines[0] == "day,beta"
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(row["day"]), repr(row["beta"])] for row in doc["beta"]
+    ]
+
+
+def test_null_beta_rows_in_report_and_beta_csv(tmp_path):
+    # after one training day: test day 0 pays a negative price at its only
+    # deadline, test day 1 is an ordinary day; no storage, so online = offline
+    values = np.full(72, 3.0)
+    values[:24] += np.linspace(0.0, 1.0, 24)
+    values[24 + 5] = -2.0
+    demand = np.zeros(72)
+    demand[24 + 5] = 1.0
+    demand[48 + 6] = 2.0
+    prices, loads = tmp_path / "prices.csv", tmp_path / "loads.csv"
+    save_price_trace(price_trace_from_values(values), prices)
+    save_load_trace(load_trace_from_values(demand), loads)
+    out = tmp_path / "bt"
+    assert run("backtest", "--prices", str(prices), "--loads", str(loads), "--train-days", "1",
+               "--capacity", "0", "--k-max", "1", "--out", str(out), "--reproducible") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["beta"] == [
+        {"day": 0, "online_cost": -2.0, "offline_cost": -2.0, "beta": None},
+        {"day": 1, "online_cost": 6.0, "offline_cost": 6.0, "beta": 1.0},
+    ]
+    assert (out / "beta.csv").read_text().splitlines() == ["day,beta", "1,1.0"]
+
+
+def test_curve_csv_layout(price_csv, load_csv, tmp_path):
+    out = tmp_path / "size"
+    assert run("size", "--prices", str(price_csv), "--loads", str(load_csv),
+               "--grid", "0,1,2.5", "--out", str(out), "--reproducible") == 0
+    doc = json.loads((out / "result.json").read_text())
+    header, *rows = (out / "curve.csv").read_text().strip().splitlines()
+    assert header == "B,min_cost,marginal_saving"
+    savings = [repr(saving) for saving in doc["marginal_saving"]]
+    assert [row.split(",") for row in rows] == [
+        [repr(b), repr(cost), saving]
+        for b, cost, saving in zip(doc["grid"], doc["min_cost"], [*savings, ""])
+    ]
+    assert rows[-1].endswith(",")  # the last row starts no segment
+
+
+def test_estimator_json_round_trip(tmp_path, monkeypatch):
+    prices, loads = tmp_path / "prices.csv", tmp_path / "loads.csv"
+    assert run("synth", "--kind", "price", "--hours", str(24 * 8), "--seed", "1",
+               "--peak-shift", "25", "--out", str(prices)) == 0
+    assert run("synth", "--kind", "load", "--hours", str(24 * 8), "--seed", "2",
+               "--out", str(loads)) == 0
+    fitted = _capture(monkeypatch, "fit_estimator")
+    for variant in ("single", "hourly", "peak-offpeak"):
+        out = tmp_path / variant
+        assert run("backtest", "--prices", str(prices), "--loads", str(loads), "--variant", variant,
+                   "--train-days", "7", "--capacity", "2.0", "--k-max", "2",
+                   "--out", str(out)) == 0
+        est = fitted[-1]
+        doc = json.loads((out / "estimator.json").read_text(encoding="utf-8"))
+        assert doc == json.loads((out / "report.json").read_text(encoding="utf-8"))["estimator"]
+        assert doc["variant"] == est.variant.value == variant
+        assert doc["hour_index"] == list(est.hour_index)
+        assert [model_from_json_dict(m) for m in doc["models"]] == list(est.models)
+        if est.labeling is None:
+            assert "peak_hours" not in doc
+        else:
+            assert doc["peak_hours"] == sorted(est.labeling.peak)
+    assert fitted[-1].labeling is not None
+
+
+def test_only_the_cli_and_the_input_formats_write_files():
+    # the CLI lays out every artifact; the trace and model formats, which are
+    # inputs too, stay beside the code that reads them
+    writers = {"cli", "data_io", "distributions"}
+    writes = {"write_csv", "write_text", "writerows"}
+    found = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            is_json = (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "json"
+                and name in ("dump", "dumps")
+            )
+            if name in writes or is_json:
+                found.add(path.stem)
+    assert found == writers

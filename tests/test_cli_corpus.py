@@ -156,6 +156,17 @@ OPTION_ROWS = {
     "horizons": ["montecarlo", "--horizons", "2,0"],
     "days": ["montecarlo", "--mode", "general", "--days", "-2"],
     "hours": ["synth", "--kind", "price", "--hours", "0"],
+    "amortized-price": ["size", "--amortized-price", "-2"],
+    "grid-one-point": ["size", "--grid", "5"],
+    "grid-empty": ["size", "--grid", ""],
+    "grid-decreasing": ["size", "--grid", "2,1"],
+    "grid-nan": ["size", "--grid", "0,nan"],
+    "horizons-empty": ["montecarlo", "--horizons", ","],
+    "base": ["synth", "--kind", "load", "--base", "-1"],
+    "amplitude": ["synth", "--kind", "load", "--amplitude", "inf"],
+    "noise-inf": ["synth", "--kind", "load", "--noise", "inf"],
+    "noise-nan": ["synth", "--kind", "load", "--noise", "nan"],
+    "peak-shift": ["synth", "--kind", "price", "--peak-shift", "nan"],
 }
 
 

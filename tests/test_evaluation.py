@@ -24,18 +24,14 @@ from gridstash.errors import (
     ZeroBetaSumError,
 )
 from gridstash.evaluation import (
-    ExperimentReport,
     RegretParams,
     _density_infimum,
-    beta_to_csv,
     brute_force_expected_cost,
     daily_cost_ratios,
-    gamma_to_csv,
     general_serving_study,
     offline_optimal_general,
     one_shot_regret_study,
     regret_params,
-    report_to_json_dict,
     shape_bound,
     uniform_bound,
 )
@@ -259,7 +255,6 @@ def test_backward_induction_needs_no_path_enumeration():
 
 def test_one_shot_regret_study_structure_and_determinism():
     report = one_shot_regret_study(U01, [2, 3, 5], 2000, seed=11)
-    assert report.kind == "one_shot_regret"
     assert [pt.horizon for pt in report.gamma_points] == [2, 3, 5]
     again = one_shot_regret_study(U01, [2, 3, 5], 2000, seed=11)
     assert [pt.gamma for pt in report.gamma_points] == [
@@ -350,7 +345,7 @@ def test_daily_attribution_follows_deadline_day():
     assert len(points) == 1 and points[0].day == 1
 
 
-def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
+def test_daily_cost_ratios_keeps_nonpositive_day_without_beta():
     # day 0: negative price at its only deadline; day 1: an ordinary day
     values = np.full(48, 3.0)
     values[5] = -2.0
@@ -374,11 +369,6 @@ def test_daily_cost_ratios_keeps_nonpositive_day_without_beta(tmp_path):
         "total_online": -2.0 + 6.0,
         "total_offline": -2.0 + 6.0,
     }
-    report = ExperimentReport(kind="general_serving", seed=0, config={}, beta_points=points)
-    assert [row["beta"] for row in report_to_json_dict(report)["beta"]] == [None, 1.0]
-    path = tmp_path / "beta.csv"
-    beta_to_csv(report.beta_points, path)
-    assert path.read_text().splitlines() == ["day,beta", "1,1.0"]
 
 
 def test_nothing_to_score_raises_instead_of_nan():
@@ -405,37 +395,8 @@ def test_general_serving_study_reproducible():
     a = general_serving_study(dist, load, 2.0, seed=6)
     b = general_serving_study(dist, load, 2.0, seed=6)
     assert a.summary == b.summary
-    assert a.kind == "general_serving"
     assert all(pt.beta >= 1.0 - 1e-12 for pt in a.beta_points)
     assert a.summary["beta_mean"] >= 1.0 - 1e-12
-
-
-def test_report_json_and_csv_round_trip(tmp_path):
-    report = one_shot_regret_study(U01, [2, 3], 500, seed=1, include_bound=True)
-    doc = report_to_json_dict(report)
-    assert doc["kind"] == "one_shot_regret"
-    assert len(doc["gamma"]) == 2
-    assert doc["gamma"][0]["T"] == 2
-    gpath = tmp_path / "gamma.csv"
-    gamma_to_csv(report, gpath)
-    lines = gpath.read_text().strip().splitlines()
-    assert lines[0] == "T,gamma_mean,gamma_ci_lo,gamma_ci_hi"
-    assert len(lines) == 3
-    row = lines[1].split(",")
-    assert int(row[0]) == 2
-    assert float(row[1]) == report.gamma_points[0].gamma
-
-    load = load_trace_from_values(np.tile([0, 1.0, 0], 24))
-    beta_report = general_serving_study(
-        UniformDistribution(5.0, 9.0), load, 1.0, seed=3
-    )
-    bpath = tmp_path / "beta.csv"
-    beta_to_csv(beta_report.beta_points, bpath)
-    blines = bpath.read_text().strip().splitlines()
-    assert blines[0] == "day,beta"
-    assert len(blines) == 1 + len(beta_report.beta_points)
-    brow = blines[1].split(",")
-    assert float(brow[1]) == beta_report.beta_points[0].beta
 
 
 def test_gmm_distribution_works_through_bound_machinery():

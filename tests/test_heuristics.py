@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from datetime import datetime
 
@@ -11,7 +10,6 @@ import pytest
 
 from gridstash import gmm
 from gridstash.data_io import price_trace_from_values, split_train_test
-from gridstash.distributions import model_from_json_dict
 from gridstash.errors import InsufficientDataError
 from gridstash.evaluation import daily_cost_ratios
 from gridstash.gmm import EmConfig
@@ -21,9 +19,7 @@ from gridstash.heuristics import (
     Variant,
     _component_cap,
     detect_periods,
-    estimator_to_json_dict,
     fit_estimator,
-    save_estimator,
 )
 from gridstash.synth import DEFAULT_PRICE_MODEL, shift_model, synth_load, synth_prices
 
@@ -205,25 +201,6 @@ def test_submodel_seed_keys():
             [gmm.derive_config(config, *key) for key in keys],
         )
         assert est.models == tuple(sel.best.model for sel in sels), (variant, quantile)
-
-
-def test_estimator_json_round_trip(tmp_path):
-    trace = synth_prices(24 * 8, seed=1, peak_model=shift_model(DEFAULT_PRICE_MODEL, 25.0))
-    for variant in ("single", "hourly", "peak-offpeak"):
-        est = fit_estimator(trace, variant, max_components=2)
-        doc = estimator_to_json_dict(est)
-        assert doc["variant"] == est.variant.value
-        assert doc["hour_index"] == list(est.hour_index)
-        assert len(doc["models"]) == len(est.models)
-        for model_doc, model in zip(doc["models"], est.models):
-            assert model_from_json_dict(model_doc) == model
-        if est.labeling is None:
-            assert "peak_hours" not in doc
-        else:
-            assert doc["peak_hours"] == sorted(est.labeling.peak)
-        path = tmp_path / f"{variant}.json"
-        save_estimator(est, path)
-        assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
 def _hourly_backtest(scale: float = 1.0, shift: float = 0.0):

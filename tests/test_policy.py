@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from datetime import datetime
 
@@ -22,7 +21,6 @@ from gridstash.policy import (
     ThresholdSchedule,
     compute_thresholds_iid,
     compute_thresholds_timevarying,
-    decisions_to_csv,
     run_policy,
     simulate_one_shot_matrix,
 )
@@ -327,45 +325,7 @@ def test_run_policy_rejects_misaligned_traces():
         run_policy(prices, load, 1.0, (U01,) * 24)
 
 
-def test_decisions_csv_round_trips_inf_thresholds(tmp_path):
-    prices = price_trace_from_values([0.9, 0.8, 0.7, 0.6])
-    load = load_trace_from_values([0.0, 1.0, 0.0, 2.0])
-    result = run_policy(prices, load, 1.5, (U01,) * 24)
-    path = tmp_path / "decisions.csv"
-    decisions_to_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header == [
-        "piece_id", "quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced",
-    ]
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == len(result.records)
-    for row, rec in zip(rows, result.records):
-        assert float(row[1]) == rec.quantity
-        assert float(row[6]) == rec.threshold  # float('inf') parses back
-
-
 def test_expected_cost_below_single_slot_mean():
     for dist in (U01, THREE_ATOM):
         for horizon in (2, 5, 10):
             assert expected_policy_cost(dist, horizon) < dist.mean() + 1e-15
-
-
-def test_records_hold_python_numbers(tmp_path):
-    # decisions.csv writes repr(): a numpy scalar would print as np.float64(...)
-    prices = price_trace_from_values([0.9, 0.2, 0.7, 0.6, 0.1, 0.5])
-    load = load_trace_from_values([0.0, 1.0, 0.5, 2.0, 0.0, 0.25])
-    result = run_policy(prices, load, 1.5, (U01,) * 24)
-    path = tmp_path / "decisions.csv"
-    decisions_to_csv(result, path)
-    text = path.read_text()
-    assert "np." not in text
-    rows = list(csv.reader(text.splitlines()))[1:]
-    rec = result.records
-    assert len(rows) == len(rec) > 0
-    assert [int(r[0]) for r in rows] == list(range(len(rec)))
-    for col, name, parse in (
-        (1, "quantity", float), (2, "t_start", int), (3, "t_end", int), (4, "buy_slot", int),
-        (5, "price", float), (6, "threshold", float), (7, "forced", int),
-    ):
-        assert [parse(r[col]) for r in rows] == rec[name].tolist(), name

@@ -11,7 +11,6 @@ import oracles
 from gridstash.data_io import load_trace_from_values, price_trace_from_values
 from gridstash.sizing import (
     SizingCurve,
-    curve_to_csv,
     min_cost_curve,
     optimal_capacity,
 )
@@ -82,17 +81,6 @@ def test_zero_capacity_cost_is_deadline_cost():
     load = load_trace_from_values([1.0, 2.0, 4.0])
     curve = min_cost_curve(prices, load, [0.0, 1.0])
     assert curve.costs[0] == pytest.approx(3.0 + 14.0 + 8.0)
-
-
-def test_curve_csv_layout(tmp_path):
-    curve = SizingCurve((0.0, 1.0, 2.0), (19.0, 10.0, 2.0))
-    path = tmp_path / "curve.csv"
-    curve_to_csv(curve, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "B,min_cost,marginal_saving"
-    assert lines[1].split(",") == ["0.0", "19.0", "9.0"]
-    assert lines[2].split(",") == ["1.0", "10.0", "8.0"]
-    assert lines[3].split(",") == ["2.0", "2.0", ""]  # last row has no segment
 
 
 def _reference_cost(price_values, demand, capacity) -> float:
