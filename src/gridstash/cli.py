@@ -152,13 +152,17 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _at_least(cast, low=-math.inf):
-    """An argparse type for a finite number >= ``low``, read by ``cast``."""
-    expected = "a finite number" + (f" >= {low}" if low > -math.inf else "")
+def _number(cast, low=-math.inf, high=math.inf, strict=False):
+    """An argparse type for a finite number read by ``cast``, at least ``low``
+    (above it when ``strict``) and at most ``high``."""
+    limits = [f"{'>' if strict else '>='} {low}"] if low > -math.inf else []
+    limits += [f"<= {high}"] if high < math.inf else []
+    expected = f"a finite number {' and '.join(limits)}".rstrip()
 
     def parse(text: str):
         value = cast(text)
-        if not (math.isfinite(value) and value >= low):
+        above = value > low if strict else value >= low
+        if not (math.isfinite(value) and above and value <= high):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
@@ -168,7 +172,7 @@ def _at_least(cast, low=-math.inf):
 
 def _grid(text: str) -> list[float]:
     """An argparse type for --grid: strictly increasing capacities."""
-    grid = _comma_list(_at_least(float, 0), "capacities", 2)(text)
+    grid = _comma_list(_number(float, 0), "capacities", 2)(text)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise argparse.ArgumentTypeError(f"expected strictly increasing capacities, got {text!r}")
     return grid
@@ -360,14 +364,12 @@ def cmd_size(args) -> int:
     ensure_aligned(prices, load)
     grid = args.grid
     if grid is None:
-        # saturate around the biggest single day's demand: beyond that,
-        # extra capacity cannot move any purchase window further
-        days = (len(load) + HOURS_PER_DAY - 1) // HOURS_PER_DAY
-        daily = [
-            float(load.values[d * HOURS_PER_DAY : (d + 1) * HOURS_PER_DAY].sum())
-            for d in range(days)
-        ]
-        grid = list(np.linspace(0.0, max(max(daily), 1.0), args.grid_points))
+        # saturate around the biggest day's demand, a partial last day too:
+        # beyond that, extra capacity cannot move any purchase window further
+        whole = len(load) // HOURS_PER_DAY * HOURS_PER_DAY
+        daily = load.values[:whole].reshape(-1, HOURS_PER_DAY).sum(axis=1)
+        peak = max(daily.max(initial=1.0), load.values[whole:].sum())
+        grid = list(np.linspace(0.0, peak, args.grid_points))
     curve = min_cost_curve(prices, load, grid)
     out = _out_dir(args.out)
     savings = curve.marginal_savings()
@@ -422,26 +424,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_em(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--k-max", type=_at_least(int, 1), default=8, help="largest component count per fit"
+        "--k-max", type=_number(int, 1), default=8, help="largest component count per fit"
     )
     parser.add_argument(
-        "--tol",
-        type=float,
-        default=gmm.EmConfig.tol,
+        "--tol", type=_number(float, 0, strict=True), default=gmm.EmConfig.tol,
         help="EM convergence tolerance: mean log-likelihood gain per sample",
     )
     parser.add_argument(
-        "--max-iter", type=_at_least(int, 1), default=gmm.EmConfig.max_iter, help="EM iteration cap"
+        "--max-iter", type=_number(int, 1), default=gmm.EmConfig.max_iter, help="EM iteration cap"
     )
 
 
 def _add_capacity(parser: argparse.ArgumentParser, scope: str = "") -> None:
     parser.add_argument(
-        "--capacity", type=_at_least(float, 0), help=f"storage capacity (energy units){scope}"
+        "--capacity", type=_number(float, 0), help=f"storage capacity (energy units){scope}"
     )
     parser.add_argument(
         "--capacity-fraction",
-        type=_at_least(float, 0),
+        type=_number(float, 0),
         help=f"capacity as a fraction of peak hourly demand{scope}",
     )
 
@@ -470,10 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=Variant.SINGLE.value,
         help="estimator granularity",
     )
-    p.add_argument("--train-days", type=_at_least(int, 1), help="whole days of training data")
+    p.add_argument("--train-days", type=_number(int, 1), help="whole days of training data")
     _add_capacity(p)
     _add_em(p)
-    p.add_argument("--quantile", type=float, help="peak threshold quantile for peak-offpeak")
+    p.add_argument(
+        "--quantile", type=_number(float, 0, 1, strict=True),
+        help="peak threshold quantile for peak-offpeak",
+    )
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_backtest)
 
@@ -485,19 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="mixture JSON for the price law (default: built-in)")
     p.add_argument(
         "--horizons",
-        type=_comma_list(_at_least(int, 1), "integers", 1),
+        type=_comma_list(_number(int, 1), "integers", 1),
         default="2,4,8,16,32",
         help="comma-separated window lengths (one-shot mode)",
     )
     p.add_argument(
-        "--runs", type=_at_least(int, 2), default=10000,
+        "--runs", type=_number(int, 2), default=10000,
         help="simulated windows per horizon (one-shot mode)",
     )
     p.add_argument(
         "--bound", action="store_true", help="also compute the shape bound (one-shot mode)"
     )
     p.add_argument(
-        "--days", type=_at_least(int, 1), default=30, help="days of synthetic load (general mode)"
+        "--days", type=_number(int, 1), default=30, help="days of synthetic load (general mode)"
     )
     _add_capacity(p, " (general mode)")
     p.add_argument("--out", help="output directory")
@@ -508,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", help="price trace CSV")
     p.add_argument("--loads", help="load trace CSV")
     p.add_argument("--grid", type=_grid, help="comma-separated increasing capacities")
-    p.add_argument("--grid-points", type=_at_least(int, 2), default=11, help="auto grid size")
+    p.add_argument("--grid-points", type=_number(int, 2), default=11, help="auto grid size")
     p.add_argument(
         "--amortized-price",
-        type=_at_least(float, 0),
+        type=_number(float, 0),
         help="per-unit capacity price to select against",
     )
     p.add_argument("--out", help="output directory")
@@ -520,12 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a seeded synthetic trace CSV")
     _add_common(p)
     p.add_argument("--kind", choices=["price", "load"], help="what to generate")
-    p.add_argument("--hours", type=_at_least(int, 1), default=24 * 28, help="trace length in hours")
+    p.add_argument("--hours", type=_number(int, 1), default=24 * 28, help="trace length in hours")
     p.add_argument("--out", help="output CSV file")
     p.add_argument("--model", help="mixture JSON for prices (default: built-in)")
     p.add_argument(
         "--peak-shift",
-        type=_at_least(float),
+        type=_number(float),
         help="mean shift applied during peak hours (price kind)",
     )
     p.add_argument(
@@ -534,10 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PEAK_HOURS,
         help="peak hours, e.g. 17-20",
     )
-    p.add_argument("--base", type=_at_least(float, 0), help="baseline demand (load kind)")
-    p.add_argument("--amplitude", type=_at_least(float, 0), help="daily bump height (load kind)")
-    p.add_argument("--peak-hour", type=int, help="bump center (load kind)")
-    p.add_argument("--noise", type=_at_least(float, 0), help="uniform noise width (load kind)")
+    p.add_argument("--base", type=_number(float, 0), help="baseline demand (load kind)")
+    p.add_argument("--amplitude", type=_number(float, 0), help="daily bump height (load kind)")
+    p.add_argument("--peak-hour", type=_number(int, 0, 23), help="bump center (load kind)")
+    p.add_argument("--noise", type=_number(float, 0), help="uniform noise width (load kind)")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -4,8 +4,7 @@ Every law answers mean, cdf/pdf, the expected minimum with a fixed price, the
 expected minimum of two independent draws, and seeded sampling, each in
 closed form, so nothing here integrates numerically. The Gaussian-mixture law
 lives here whole: its parameters (``GmmModel``), closed forms, sampling and
-JSON form. Its normal CDF is a scalar port of cephes ``ndtr`` (bit for bit
-``scipy.special.ndtr``), so a mixture evaluates without scipy.
+JSON form. Its normal CDF is the standard library's ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -164,64 +163,10 @@ class DiscreteDistribution(PriceDistribution):
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
-# cephes ndtr.c: erf on |x| < 1 is x T(x^2) / U(x^2); erfc is exp(-x^2) P(x) / Q(x)
-# below 8 and exp(-x^2) R(x) / S(x) above. Q, S and U carry the leading 1 that
-# cephes leaves implicit (its p1evl); 1 * x is exact, so the sums are the same.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x^2) underflows past it
-
-
-def _polevl(x: float, coef) -> float:
-    """Horner evaluation, highest power first."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    # |x| < 1 at every call
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    # x >= 1/sqrt(2) at every call, so cephes' branches for a < 0 never run
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    # math.exp is the C library's exp, as in cephes; np.exp rounds differently
-    z = math.exp(z)
-    if x < 8.0:
-        return (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
-    return (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
-
 
 def _ndtr(a: float) -> float:
-    """Standard normal CDF at a float; equals scipy.special.ndtr bit for bit."""
-    if math.isnan(a):
-        return math.nan
-    x = a * _SQRT_HALF
-    z = abs(x)
-    if z < _SQRT_HALF:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+    """Standard normal CDF at a float."""
+    return 0.5 * math.erfc(-a * _SQRT_HALF)
 
 
 def _ndtr_each(z: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ K at a time for one group and stops after three consecutive K that fail to
 beat the best BIC, counted from the first fit.
 The mixture CDF and expected minimum with a fixed price are the vectorised
 expressions over scipy's ``ndtr`` that the package's scalar normal CDF must
-reproduce exactly.
+match to within a few ulp.
 The expected minimum of two draws integrates p * pdf * survival with scipy's
 quadrature; the density infimum refines the grid minimum with scipy's bounded
 scalar search, where the package zooms with finer numpy grids.

@@ -212,9 +212,10 @@ def test_fit_missing_file_exits_2(tmp_path):
 
 def test_fit_non_finite_tol_exits_2(price_csv, tmp_path, capsys):
     for tol in ("-1", "nan", "inf"):
-        assert run("fit", "--prices", str(price_csv), "--tol", tol,
-                   "--out", str(tmp_path / "out")) == 2
-        assert "error: tol must be finite and positive" in capsys.readouterr().err
+        assert exit_code("fit", "--prices", str(price_csv), "--tol", tol,
+                         "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"argument --tol: expected a finite number > 0, got '{tol}'" in err
 
 
 def test_fit_gap_trace_exits_2(tmp_path):
@@ -254,9 +255,10 @@ def test_backtest_load_gap_names_the_load_file(price_csv, tmp_path, capsys):
 
 def test_synth_load_peak_hour_outside_the_day_exits_2(tmp_path, capsys):
     out = tmp_path / "load.csv"
-    assert run("synth", "--kind", "load", "--hours", "24", "--peak-hour", "99",
-               "--out", str(out)) == 2
-    assert "peak_hour must lie in 0..23, got 99" in capsys.readouterr().err
+    assert exit_code("synth", "--kind", "load", "--hours", "24", "--peak-hour", "99",
+                     "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "argument --peak-hour: expected a finite number >= 0 and <= 23, got '99'" in err
     assert not out.exists()
 
 

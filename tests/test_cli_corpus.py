@@ -167,6 +167,14 @@ OPTION_ROWS = {
     "noise-inf": ["synth", "--kind", "load", "--noise", "inf"],
     "noise-nan": ["synth", "--kind", "load", "--noise", "nan"],
     "peak-shift": ["synth", "--kind", "price", "--peak-shift", "nan"],
+    "quantile-nan": ["backtest", "--variant", "peak-offpeak", "--train-days", "1",
+                     "--capacity-fraction", "0.5", "--quantile", "nan"],
+    "quantile-zero": ["backtest", "--variant", "peak-offpeak", "--train-days", "1",
+                      "--capacity-fraction", "0.5", "--quantile", "0"],
+    "tol-zero": ["fit", "--tol", "0"],
+    "tol-nan": ["fit", "--tol", "nan"],
+    "peak-hour-99": ["synth", "--kind", "load", "--peak-hour", "99"],
+    "peak-hour-negative": ["synth", "--kind", "load", "--peak-hour", "-1"],
 }
 
 
