@@ -140,18 +140,6 @@ def _comma_list(cast, what: str, min_count: int):
     return parse
 
 
-def _seed(text: str) -> int:
-    """An argparse type for --seed: numpy seeds must be non-negative integers."""
-    try:
-        seed = int(text)
-        if seed < 0:
-            raise ValueError
-    except ValueError:
-        message = f"expected a non-negative integer, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
-    return seed
-
-
 def _number(cast, low=-math.inf, high=math.inf, strict=False):
     """An argparse type for a finite number read by ``cast``, at least ``low``
     (above it when ``strict``) and at most ``high``."""
@@ -217,7 +205,7 @@ def cmd_fit(args) -> int:
     _require(args, "prices", "out")
     prices = load_price_trace(args.prices)
     out = _out_dir(args.out)
-    (sel,) = gmm.select_models([prices.values], [args.k_max], [_em_config(args)])
+    (sel,) = gmm.select_models([prices.values], [args.k_max], [args.seed], _em_config(args))
     best = sel.best
     save_model(best.model, out / "model.json")
     write_csv(
@@ -229,8 +217,8 @@ def cmd_fit(args) -> int:
             else (
                 row.n_components,
                 gmm.n_free_params(row.n_components),
-                repr(row.report.log_likelihood),
-                repr(row.report.bic),
+                row.report.log_likelihood,
+                row.report.bic,
                 row.report.iterations,
                 int(row.report.converged),
                 "",
@@ -302,7 +290,12 @@ def cmd_backtest(args) -> int:
     rec = scores.result.records
     names = ("quantity", "t_start", "t_end", "buy_slot", "price", "threshold")
     columns = [rec[name].tolist() for name in names] + [rec.forced.astype(int).tolist()]
-    write_csv(out / "decisions.csv", ("piece_id", *names, "forced"), zip(range(len(rec)), *columns))
+    # the bytes write_csv would write (floats as repr, \r\n line ends), one
+    # line per piece streamed through the handle, not joined into one string
+    with open(out / "decisions.csv", "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(("piece_id", *names, "forced")) + "\r\n")
+        rows = zip(range(len(rec)), *columns)
+        handle.writelines("%d,%r,%d,%d,%d,%r,%r,%d\r\n" % row for row in rows)
     _write_beta_csv(scores.days, out / "beta.csv")
     print(
         f"backtest: {len(scores.days)} days, mean beta {summary['beta_mean']:.4f}, "
@@ -413,7 +406,7 @@ def cmd_synth(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--seed", type=_seed, default=0, help="seed for every random draw")
+    parser.add_argument("--seed", type=_number(int, 0), default=0, help="seed for every random draw")
     parser.add_argument(
         "--reproducible",
         action="store_true",

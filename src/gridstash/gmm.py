@@ -4,9 +4,11 @@ The fitting loop is written out by hand (log-domain E-step with a
 max-shifted numpy log-sum-exp, closed-form M-step, k-means++-style seeding,
 SQUAREM extrapolation on standardized samples) so its convergence accounting
 and failure modes are fully under our control. One EM core fits many
-equal-size sample groups ("lanes") with the same component count at once:
-``em_fit`` is its one-lane case, and ``select_models`` is the one BIC sweep
-over the component count, for one sample group or many. The fitted law
+equal-size sample groups ("lanes") with the same component count at once,
+each from its own seed and all under one ``EmConfig``; every lane's k-means++
+start is the M-step of its nearest-centre assignment. ``em_fit`` is its
+one-lane case, and ``select_models`` is the one BIC sweep over the component
+count, for one sample group or many. The fitted law
 (``GmmModel``) lives in ``distributions``; ``make_model`` and
 ``sample_with_rng`` are re-exported for callers that import them from here.
 """
@@ -14,7 +16,7 @@ over the component count, for one sample group or many. The fitted law
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +99,8 @@ def _log_densities(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.n
 
 
 def _exp_shifted(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite a with exp(a - max) along axis; return (sums, maxima), axis kept.
+    """Overwrite a with exp(a - max) along axis; return (sums, log-sums), axis kept,
+    where the log-sums are log(sum(exp(a))) of the original a.
 
     A non-finite maximum shifts by 0 instead, as scipy.special's log-sum-exp does, so a
     slice that is all -inf sums to 0 and logs to -inf rather than NaN.
@@ -108,12 +111,9 @@ def _exp_shifted(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
         peak[~finite] = 0.0
     a -= peak
     np.exp(a, out=a)
-    return a.sum(axis=axis, keepdims=True), peak
-
-
-def _log_of_sums(total: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    total = a.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        return np.log(total) + peak
+        return total, np.log(total) + peak
 
 
 def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,26 +134,30 @@ def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def _initial_params(x: np.ndarray, k: int, rng: np.random.Generator, floor: float):
-    centers = _kmeans_pp_centers(x, k, rng)
-    labels = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
-    pop_std = float(x.std())
-    weights = np.empty(k)
-    means = np.empty(k)
-    stds = np.empty(k)
-    for j in range(k):
-        members = x[labels == j]
-        if members.size == 0:
-            # duplicate centers (fewer distinct values than k); keep the
-            # component alive with a token weight so EM can reassign mass
-            weights[j] = 1.0
-            means[j] = centers[j]
-            stds[j] = max(pop_std, floor)
-        else:
-            weights[j] = float(members.size)
-            means[j] = float(members.mean())
-            stds[j] = max(float(members.std()), floor)
-    weights /= weights.sum()
+def _initial_params(z: np.ndarray, k: int, rngs, floors, buffers=None):
+    """(weights, means, stds), each (lanes, K): every lane's k-means++ start.
+
+    Lane g draws its centres from rngs[g]; each sample joins its nearest
+    centre, and the M-step of those one-hot responsibilities gives each
+    component its members' share, mean and std. A centre that wins no sample
+    (fewer distinct values than k) keeps a token weight of one sample, the
+    centre itself and the lane's std, so EM can reassign mass to it. buffers
+    is a (2, lanes, K, n) scratch array, allocated when not given.
+    """
+    lanes, n = z.shape
+    comp, work = np.empty((2, lanes, k, n)) if buffers is None else buffers
+    centres = np.stack([_kmeans_pp_centers(row, k, rng) for row, rng in zip(z, rngs)])
+    np.subtract(z[:, None, :], centres[:, :, None], out=work)
+    nearest = np.abs(work, out=work).argmin(axis=1)
+    comp[...] = nearest[:, None, :] == np.arange(k)[:, None]
+    counts = comp.sum(axis=2)
+    empty = counts == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, means, stds = _m_step(comp, counts, z, floors, work)
+    weights = np.where(empty, 1.0, counts)
+    weights /= weights.sum(axis=1, keepdims=True)
+    means = np.where(empty, centres, means)
+    stds = np.where(empty, np.maximum(z.std(axis=1), floors)[:, None], stds)
     return weights, means, stds
 
 
@@ -180,7 +184,8 @@ def _standardize(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _m_step(comp: np.ndarray, resp_totals: np.ndarray, z: np.ndarray, floors, work: np.ndarray):
-    """(weights, means, stds) from the responsibilities comp (lanes, K, n)."""
+    """(weights, means, stds) from the responsibilities comp (lanes, K, n) and
+    their totals (lanes, K)."""
     n = z.shape[1]
     np.multiply(comp, z[:, None, :], out=work)
     means = work.sum(axis=2) / resp_totals
@@ -216,18 +221,20 @@ def _s3_point(theta, p1, p2, step_max, floors):
 
 
 def _em_lanes(
-    z: np.ndarray, n_components: int, configs, frames
+    z: np.ndarray, n_components: int, seeds, frames, config: EmConfig
 ) -> list[FitReport | GridstashError]:
-    """Run em_fit on every row of z (lanes, n) at once, one config per lane.
+    """Run em_fit on every row of z (lanes, n) at once, under one config.
 
     z holds each lane's standardized samples and frames (lanes, 3) its
-    (centre, scale, sigma floor), as _standardize returns them; the reports
-    are in the samples' own units. Each lane keeps its own seed, trace,
-    iteration count, step bound and failure; a lane that converges, reaches
-    its max_iter, degenerates or starves leaves the active set while the
-    others carry on. Returns, per lane, its report or the error em_fit would
-    raise: InsufficientSamplesError for every lane when n < n_components,
-    else DegenerateFitError.
+    (centre, scale, sigma floor), as _standardize returns them; lane g is
+    seeded with seeds[g], and config's tol and max_iter govern every lane
+    (its init_seed is not read). The reports are in the samples' own units.
+    Each lane keeps its own trace, iteration count, step bound and failure;
+    a lane that converges, degenerates or starves leaves the active set while
+    the others carry on, and at config.max_iter every lane left is capped.
+    Returns, per lane, its report or the error em_fit would raise:
+    InsufficientSamplesError for every lane when n < n_components, else
+    DegenerateFitError.
 
     Every lane runs SQUAREM-1 cycles of three E-steps in step: plain EM steps
     p -> p1 -> p2, then one at the S3 extrapolation p' of the three in
@@ -239,13 +246,14 @@ def _em_lanes(
     k = n_components
     if n < k:
         return [InsufficientSamplesError(f"{n} samples cannot support {k} components")] * lanes
-    weights, means, stds = (np.empty((lanes, k)) for _ in range(3))
+    # the seeding, E-step and M-step work in place in these two (lanes, K, n)
+    # buffers; leaving lanes shrink the prefix in use
+    buffers = np.empty((2, lanes, k, n))
+    comp_buf, work_buf = buffers
     floors = frames[:, 2]
-    for g, config in enumerate(configs):
-        rng = np.random.default_rng(config.init_seed)
-        weights[g], means[g], stds[g] = _initial_params(z[g], k, rng, floors[g])
-    tol = np.array([c.tol for c in configs]) * n
-    max_iter = np.array([c.max_iter for c in configs])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    weights, means, stds = _initial_params(z, k, rngs, floors, buffers)
+    tol = config.tol * n
     # the accepted path's log-likelihoods per lane, kept[g] of them; widened
     # on demand, so a large max_iter costs nothing until passes actually run
     trace = np.empty((lanes, 64))
@@ -255,10 +263,6 @@ def _em_lanes(
     prev = np.full(lanes, -math.inf)
     step_max = np.ones(lanes)
     saved: list = []
-    # the E-step and M-step work in place in these two (lanes, K, n) buffers;
-    # leaving lanes shrink the prefix in use
-    comp_buf = np.empty((lanes, k, n))
-    work_buf = np.empty_like(comp_buf)
     passes = 0
     # an extrapolated point may overflow, and a lane whose log-likelihood is
     # not finite divides by zero; the checks below catch both
@@ -266,10 +270,11 @@ def _em_lanes(
         while live.size:
             phase = passes % 3
             comp = _log_densities(z, weights, means, stds, comp_buf[: live.size])
-            total, peak = _exp_shifted(comp, axis=1)
-            ll = _log_of_sums(total, peak).sum(axis=2)[:, 0]
+            total, log_total = _exp_shifted(comp, axis=1)
+            ll = log_total.sum(axis=2)[:, 0]
             comp /= total
             resp_totals = comp.sum(axis=2)
+            step = _m_step(comp, resp_totals, z, floors, work_buf[: live.size])
             finite = np.isfinite(ll)
             starved = resp_totals.min(axis=1) < _RESP_EPS
             # an extrapolated point fails nothing: a poor one falls back to p2
@@ -279,7 +284,7 @@ def _em_lanes(
                 trace = np.concatenate([trace, np.empty_like(trace)], axis=1)
             trace[live, kept[live]] = ll
             kept[live] += on_path
-            capped = max_iter == passes
+            capped = passes == config.max_iter
             nonfinite = ~finite & plain
             decreased = (ll < prev - 1e-9) & plain
             starved &= plain
@@ -302,7 +307,7 @@ def _em_lanes(
                         results[g] = FitReport(
                             make_model(w[i], centre + scale * m[i], scale * s[i]), log_lik,
                             bic(log_lik, n, n_free_params(k)), iterations=passes,
-                            converged=not capped[i], n_samples=n, ll_trace=ll_trace,
+                            converged=not capped, n_samples=n, ll_trace=ll_trace,
                         )
                     elif nonfinite[i]:
                         results[g] = DegenerateFitError(
@@ -320,14 +325,12 @@ def _em_lanes(
                             f"component {j} lost all responsibility (total {total_j!r})"
                         )
                 keep = ~done
-                lane_state = (live, z, frames, tol, max_iter, ll, prev, step_max, on_path,
-                              resp_totals, weights, means, stds, *saved)
-                (live, z, frames, tol, max_iter, ll, prev, step_max, on_path,
-                 resp_totals, weights, means, stds, *saved) = (a[keep] for a in lane_state)
+                lane_state = (live, z, frames, ll, prev, step_max, on_path,
+                              weights, means, stds, *step, *saved)
+                (live, z, frames, ll, prev, step_max, on_path,
+                 weights, means, stds, *rest) = (a[keep] for a in lane_state)
+                step, saved = rest[:3], rest[3:]
                 floors = frames[:, 2]
-                comp_buf[: live.size] = comp[keep]
-                comp = comp_buf[: live.size]
-            step = _m_step(comp, resp_totals, z, floors, work_buf[: live.size])
             if phase == 0:
                 saved = [np.log(weights), means, np.log(stds)]
                 weights, means, stds = step
@@ -361,16 +364,15 @@ def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitRepo
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
     z, frame = _standardize(samples)
-    result = _em_lanes(z[None, :], n_components, [config], frame[None, :])[0]
+    result = _em_lanes(z[None, :], n_components, [config.init_seed], frame[None, :], config)[0]
     if isinstance(result, GridstashError):
         raise result
     return result
 
 
-def derive_config(config: EmConfig, *keys: int) -> EmConfig:
-    """config with a seed derived from its own and keys, so fits are order-independent."""
-    derived = int(np.random.SeedSequence([config.init_seed, *keys]).generate_state(1)[0])
-    return replace(config, init_seed=derived)
+def derive_seed(seed: int, *keys: int) -> int:
+    """A seed derived from seed and keys, so fits are order-independent."""
+    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -385,12 +387,12 @@ class CandidateFit:
 def fit_candidates(samples, max_components: int, config: EmConfig = EmConfig()) -> list[CandidateFit]:
     """The rows of one group's BIC sweep over 1..max_components, per-K failures
     included; the sweep may stop early (see select_models)."""
-    return list(select_models([samples], [max_components], [config])[0].candidates)
+    return list(select_models([samples], [max_components], [config.init_seed], config)[0].candidates)
 
 
 def select_model(samples, max_components: int, config: EmConfig = EmConfig()) -> FitReport:
     """Pick the candidate with the lowest BIC; ties go to fewer components."""
-    return select_models([samples], [max_components], [config])[0].best
+    return select_models([samples], [max_components], [config.init_seed], config)[0].best
 
 
 @dataclass(frozen=True)
@@ -417,11 +419,12 @@ class Selection:
         }
 
 
-def select_models(groups, max_components, configs) -> list[Selection]:
-    """The BIC sweep over many sample groups, each with its own cap and config.
+def select_models(groups, max_components, seeds, config: EmConfig) -> list[Selection]:
+    """The BIC sweep over many sample groups, each with its own cap and seed,
+    all under one config (its init_seed is not read).
 
-    Group i fits K = 1, 2, ... up to max_components[i] with
-    derive_config(configs[i], K); a K that fails is kept as a row with its
+    Group i fits K = 1, 2, ... up to max_components[i], seeded with
+    derive_seed(seeds[i], K); a K that fails is kept as a row with its
     error, and a group whose every K fails re-raises its last error. A group
     stops early once _BIC_PATIENCE consecutive K, counted from its first
     successful fit, fail to beat its best BIC, so its candidates end at the
@@ -447,7 +450,7 @@ def select_models(groups, max_components, configs) -> list[Selection]:
         while members:
             k += 1
             lane_results = _em_lanes(
-                stacked, k, [derive_config(configs[i], k) for i in members], frames
+                stacked, k, [derive_seed(seeds[i], k) for i in members], frames, config
             )
             for i, result in zip(members, lane_results):
                 if isinstance(result, FitReport):

@@ -161,7 +161,8 @@ def fit_estimator(
     sels = gmm.select_models(
         groups,
         [_component_cap(g.size, max_components) for g in groups],
-        [gmm.derive_config(config, *key) for key in keys],
+        [gmm.derive_seed(config.init_seed, *key) for key in keys],
+        config,
     )
     return PriceEstimator(
         variant,

@@ -10,7 +10,8 @@ one piece at a time, as the package's whole-array sweep must reproduce.
 The EM reference is one SQUAREM-accelerated fit at a time, written as a plain
 loop of E-steps; it shares only the seeded initialisation with the package's
 batched core, and follows the core's operation order so that its parameters
-match to 1e-9 (see reference_squarem_fit). The BIC sweep reference fits one
+match to 1e-9 (see reference_squarem_fit). That initialisation has its own
+reference, which takes each component's members one component at a time. The BIC sweep reference fits one
 K at a time for one group and stops after three consecutive K that fail to
 beat the best BIC, counted from the first fit.
 The mixture CDF and expected minimum with a fixed price are the vectorised
@@ -24,6 +25,7 @@ scalar search, where the package zooms with finer numpy grids.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate, optimize
@@ -43,8 +45,9 @@ from gridstash.gmm import (
     EmConfig,
     FitReport,
     _initial_params,
+    _kmeans_pp_centers,
     bic,
-    derive_config,
+    derive_seed,
     n_free_params,
 )
 from gridstash.policy import (
@@ -268,7 +271,7 @@ def reference_squarem_fit(samples, n_components: int, config: EmConfig = EmConfi
 
     trace: list[float] = []  # the accepted path
     step_max = 1.0
-    params = _initial_params(z, n_components, rng, floor)
+    params = [a[0] for a in _initial_params(z[None], n_components, [rng], np.array([floor]))]
     e = 0  # E-steps so far, the one running not counted
     while True:
         ll, resp = e_step(params)
@@ -318,6 +321,25 @@ def reference_squarem_fit(samples, n_components: int, config: EmConfig = EmConfi
         e += 1
 
 
+def reference_initial_params(z: np.ndarray, k: int, rng: np.random.Generator, floor: float):
+    """(weights, means, stds) of one lane's k-means++ start, one component at a
+    time: each centre's members give its count weight, mean and std, and a
+    centre with no members (a duplicate) gets a token weight of one, the
+    centre itself and the std of all of z. Shares only the centre draw with
+    gmm._initial_params."""
+    centres = _kmeans_pp_centers(z, k, rng)
+    labels = np.argmin(np.abs(z[:, None] - centres[None, :]), axis=1)
+    weights, means, stds = np.empty(k), np.empty(k), np.empty(k)
+    for j in range(k):
+        members = z[labels == j]
+        if members.size == 0:
+            weights[j], means[j], stds[j] = 1.0, centres[j], max(float(z.std()), floor)
+        else:
+            weights[j], means[j] = members.size, members.mean()
+            stds[j] = max(float(members.std()), floor)
+    return weights / weights.sum(), means, stds
+
+
 # Two-atom data gives K = 3 a duplicate-centre component that starves at the
 # fourth E-step, the first of the second SQUAREM cycle, where no convergence
 # test runs, so the fit fails at any tol; the tests that pin that failure use
@@ -337,7 +359,8 @@ def reference_sweep(samples, cap: int, config: EmConfig = EmConfig()):
     misses = 0
     for k in range(1, cap + 1):
         try:
-            report = reference_squarem_fit(samples, k, derive_config(config, k))
+            seeded = replace(config, init_seed=derive_seed(config.init_seed, k))
+            report = reference_squarem_fit(samples, k, seeded)
             rows.append((k, report, None))
         except (DegenerateFitError, InsufficientSamplesError) as exc:
             report = None

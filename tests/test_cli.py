@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import io
 import json
 import math
 import os
@@ -266,13 +267,13 @@ def test_synth_load_peak_hour_outside_the_day_exits_2(tmp_path, capsys):
 def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
     assert exit_code(command, "--seed", "-1", "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert "argument --seed: expected a finite number >= 0, got '-1'" in err
     assert "Traceback" not in err
 
 
 def test_fit_degenerate_exits_3(price_csv, tmp_path, monkeypatch):
-    def always_degenerate(z, n_components, configs, frames):
-        return [DegenerateFitError("forced by test") for _ in configs]
+    def always_degenerate(z, n_components, seeds, frames, config):
+        return [DegenerateFitError("forced by test") for _ in seeds]
 
     monkeypatch.setattr(gridstash.gmm, "_em_lanes", always_degenerate)
     assert run("fit", "--prices", str(price_csv), "--k-max", "3",
@@ -294,6 +295,24 @@ def test_backtest_end_to_end(price_csv, load_csv, tmp_path):
     beta_lines = (out / "beta.csv").read_text().strip().splitlines()
     assert beta_lines[0] == "day,beta"
     assert len(beta_lines) == 1 + len(report["beta"])
+
+
+def test_decisions_csv_holds_the_csv_module_bytes(price_csv, load_csv, tmp_path):
+    # decisions.csv is formatted line by line; its bytes must stay those the
+    # csv module writes for the same Python values (floats as repr, \r\n rows)
+    out = tmp_path / "bt"
+    assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
+               "--train-days", "21", "--variant", "hourly", "--capacity-fraction", "0.5",
+               "--k-max", "3", "--out", str(out), "--reproducible") == 0
+    text = (out / "decisions.csv").read_bytes().decode("utf-8")
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert rows and header[0] == "piece_id"
+    casts = [int, float, int, int, int, float, float, int]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows([cast(cell) for cast, cell in zip(casts, row)] for row in rows)
+    assert text == expected.getvalue()
 
 
 def test_backtest_variants_all_run(price_csv, load_csv, tmp_path):

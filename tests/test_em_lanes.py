@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from gridstash.gmm import (
     FitReport,
     _em_lanes,
     _exp_shifted,
-    _log_of_sums,
+    _initial_params,
     _standardize,
-    derive_config,
+    derive_seed,
     em_fit,
     fit_candidates,
     select_models,
@@ -80,53 +81,46 @@ def _assert_same_selection(sel, ref_rows, ref_best) -> None:
 
 
 def _lane_groups():
-    """Random groups: one bucket of five equal-size lanes in which one lane
-    starves at K=3 and one stops at a 5-pass cap, then unequal sizes."""
+    """Random groups in two sweeps of (groups, caps, seeds, config): five
+    equal-size lanes under a tight tol and a 40-pass cap, in which one lane
+    starves at K=3 and others stop at the cap while the rest converge; then
+    unequal sizes under the default config."""
     rng = np.random.default_rng(20240601)
-    groups, caps, configs = [], [], []
-    for lane in range(5):
-        if lane == 2:
-            x = np.concatenate([np.zeros(60), np.ones(60)])
-        else:
-            x = _random_group(rng, 120)
-        groups.append(x)
-        caps.append(4)
-        configs.append(
-            EmConfig(
-                tol=oracles.STARVE_TOL if lane == 2 else 1e-6,
-                init_seed=lane,
-                max_iter=5 if lane == 3 else 500,
-            )
-        )
-    for n, cap in ((80, 3), (80, 3), (50, 5), (120, 2)):
-        groups.append(_random_group(rng, n))
-        caps.append(cap)
-        configs.append(EmConfig(init_seed=int(rng.integers(1000))))
-    return groups, caps, configs
+    groups = [
+        np.concatenate([np.zeros(60), np.ones(60)]) if lane == 2 else _random_group(rng, 120)
+        for lane in range(5)
+    ]
+    tight = (groups, [4] * 5, list(range(5)), EmConfig(tol=oracles.STARVE_TOL, max_iter=40))
+    sizes = ((80, 3), (80, 3), (50, 5), (120, 2))
+    groups = [_random_group(rng, n) for n, _ in sizes]
+    seeds = [int(rng.integers(1000)) for _ in sizes]
+    return [tight, (groups, [cap for _, cap in sizes], seeds, EmConfig())]
 
 
 def test_select_models_matches_reference_on_random_groups():
-    groups, caps, configs = _lane_groups()
-    selections = select_models(groups, caps, configs)
-    assert len(selections) == len(groups)
-    for x, cap, config, sel in zip(groups, caps, configs, selections):
-        _assert_same_selection(sel, *oracles.reference_sweep(x, cap, config))
+    sweeps = [(sweep, select_models(*sweep)) for sweep in _lane_groups()]
+    for (groups, caps, seeds, config), selections in sweeps:
+        assert len(selections) == len(groups)
+        for x, cap, seed, sel in zip(groups, caps, seeds, selections):
+            _assert_same_selection(sel, *oracles.reference_sweep(x, cap, replace(config, init_seed=seed)))
+    selections = sweeps[0][1]
     failed = [row for row in selections[2].candidates if row.error is not None]
     assert [row.n_components for row in failed] == [3, 4]
     assert "lost all responsibility" in failed[0].error
     assert selections[3].diagnostics()["capped_components"] != []
+    assert any(row.report.converged for row in selections[3].candidates[1:])
 
 
 def test_em_lanes_match_reference_for_every_candidate():
-    groups, caps, configs = _lane_groups()
-    prepared = [_standardize(x) for x in groups[:5]]
+    groups, caps, seeds, config = _lane_groups()[0]
+    prepared = [_standardize(x) for x in groups]
     stacked, frames = (np.stack(parts) for parts in zip(*prepared))
     for k in range(1, caps[0] + 1):
-        lane_configs = [derive_config(c, k) for c in configs[:5]]
-        lanes = _em_lanes(stacked, k, lane_configs, frames)
-        for x, config, got in zip(groups, lane_configs, lanes):
+        lane_seeds = [derive_seed(seed, k) for seed in seeds]
+        lanes = _em_lanes(stacked, k, lane_seeds, frames, config)
+        for x, seed, got in zip(groups, lane_seeds, lanes):
             try:
-                want = oracles.reference_squarem_fit(x, k, config)
+                want = oracles.reference_squarem_fit(x, k, replace(config, init_seed=seed))
             except DegenerateFitError as exc:
                 assert isinstance(got, DegenerateFitError)
                 _assert_same_error(str(got), str(exc))
@@ -134,6 +128,45 @@ def test_em_lanes_match_reference_for_every_candidate():
             _assert_same_fit(got, want)
             assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=REL, abs=0)
             assert got.bic == pytest.approx(want.bic, rel=REL, abs=0)
+
+
+def _seeding_samples() -> dict[str, np.ndarray]:
+    # a constant sample draws the same centre k times, and two atoms or three
+    # values give K above 2 or 3 duplicate centres too
+    rng = np.random.default_rng(31)
+    return {
+        "normal": rng.normal(0.0, 1.0, 90),
+        "constant": np.full(90, 3.5),
+        "two atoms": np.tile([0.0, 1.0], 45),
+        "three values": rng.choice([-1.0, 0.5, 2.0], 90),
+    }
+
+
+def test_initial_params_match_the_per_component_reference():
+    for name, x in _seeding_samples().items():
+        z, frame = _standardize(x)
+        for k in range(1, 7):
+            got = _initial_params(z[None], k, [np.random.default_rng(k)], frame[None, 2])
+            want = oracles.reference_initial_params(z, k, np.random.default_rng(k), frame[2])
+            for attr, mine, ref in zip(("weights", "means", "stds"), got, want):
+                np.testing.assert_allclose(
+                    mine[0], ref, rtol=1e-12, atol=0, err_msg=f"{name}, K={k}, {attr}"
+                )
+
+
+def test_a_lane_seeded_alone_equals_it_seeded_among_24():
+    rng = np.random.default_rng(12)
+    samples = [_random_group(rng, 90) for _ in range(20)] + list(_seeding_samples().values())
+    z, frames = (np.stack(parts) for parts in zip(*map(_standardize, samples)))
+    seeds = [derive_seed(0, 1, h) for h in range(24)]
+    for k in range(1, 7):
+        together = _initial_params(z, k, [np.random.default_rng(s) for s in seeds], frames[:, 2])
+        for g, seed in enumerate(seeds):
+            alone = _initial_params(
+                z[g : g + 1], k, [np.random.default_rng(seed)], frames[g : g + 1, 2]
+            )
+            for mine, theirs in zip(alone, together):
+                assert np.array_equal(mine[0], theirs[g]), (g, k)
 
 
 def test_em_fit_matches_reference_single_lane():
@@ -162,7 +195,7 @@ def test_fit_candidates_match_reference_rows_and_sweep_reraises():
     assert fit_candidates(groups[3], 3, configs[3])[2].error is not None
     # every candidate of the empty group fails, so the sweep re-raises
     with pytest.raises(InsufficientSamplesError):
-        select_models([groups[0], np.empty(0)], [2, 1], configs[:2])
+        select_models([groups[0], np.empty(0)], [2, 1], [4, 5], EmConfig())
 
 
 def _assert_identical_rows(rows, want) -> None:
@@ -185,11 +218,11 @@ def test_lanes_leaving_at_different_k_match_solo_fits_bit_for_bit():
     # 24 equal-size groups, one bucket, as the hourly estimator fits them
     rng = np.random.default_rng(99)
     groups = [_random_group(rng, 100) for _ in range(24)]
-    configs = [derive_config(EmConfig(), 1, h) for h in range(24)]
-    together = select_models(groups, [6] * 24, configs)
+    seeds = [derive_seed(0, 1, h) for h in range(24)]
+    together = select_models(groups, [6] * 24, seeds, EmConfig())
     swept = set()
-    for x, config, sel in zip(groups, configs, together):
-        (alone,) = select_models([x], [6], [config])
+    for x, seed, sel in zip(groups, seeds, together):
+        (alone,) = select_models([x], [6], [seed], EmConfig())
         _assert_identical_rows(sel.candidates, alone.candidates)
         assert sel.best is not alone.best and sel.best.model == alone.best.model
         swept.add(sel.diagnostics()["swept_components"])
@@ -202,8 +235,8 @@ def test_em_work_on_an_hourly_shaped_bucket_is_pinned():
     # those passes back has to edit this number
     rng = np.random.default_rng(2718)
     groups = [_random_group(rng, 273) for _ in range(24)]
-    configs = [derive_config(EmConfig(), 1, h) for h in range(24)]
-    rows = [row for sel in select_models(groups, [6] * 24, configs) for row in sel.candidates]
+    seeds = [derive_seed(0, 1, h) for h in range(24)]
+    rows = [row for sel in select_models(groups, [6] * 24, seeds, EmConfig()) for row in sel.candidates]
     assert len(rows) == 117 and all(row.report is not None for row in rows)
     assert sum(row.report.iterations for row in rows) == 3636
 
@@ -211,7 +244,7 @@ def test_em_work_on_an_hourly_shaped_bucket_is_pinned():
 def test_gaussian_sweep_stops_after_three_non_improving_k():
     rng = np.random.default_rng(9)
     x = rng.normal(0.0, 1.0, 600)
-    (sel,) = select_models([x], [8], [EmConfig()])
+    (sel,) = select_models([x], [8], [0], EmConfig())
     assert [row.n_components for row in sel.candidates] == [1, 2, 3, 4]
     assert sel.best.model.n_components == 1
     assert sel.diagnostics()["swept_components"] == 4
@@ -228,7 +261,7 @@ _SCRIPTED_BICS = {
 }
 
 
-def _scripted_lanes(z, n_components, configs, frames):
+def _scripted_lanes(z, n_components, seeds, frames, config):
     results = []
     for row, (centre, _, _) in zip(z, frames):
         value = _SCRIPTED_BICS[float(centre)][n_components - 1]
@@ -246,7 +279,7 @@ def _scripted_lanes(z, n_components, configs, frames):
 def test_sweep_early_stop_follows_the_scripted_bics(monkeypatch):
     monkeypatch.setattr(gridstash.gmm, "_em_lanes", _scripted_lanes)
     keys = sorted(_SCRIPTED_BICS)
-    sels = select_models([np.full(40, key) for key in keys], [8] * len(keys), [EmConfig()] * len(keys))
+    sels = select_models([np.full(40, key) for key in keys], [8] * len(keys), [0] * len(keys), EmConfig())
     swept = {key: [row.n_components for row in sel.candidates] for key, sel in zip(keys, sels)}
     assert swept == {
         0.0: [1, 2, 3, 4],
@@ -264,7 +297,7 @@ def test_logsumexp_matches_scipy_with_tied_maxima():
     def logsumexp(a, axis):
         # the max-shifted log-sum-exp that the EM core builds from these helpers
         work = np.array(a, dtype=float)
-        return np.squeeze(_log_of_sums(*_exp_shifted(work, axis)), axis=axis)
+        return np.squeeze(_exp_shifted(work, axis)[1], axis=axis)
 
     a = np.array(
         [

@@ -198,7 +198,8 @@ def test_submodel_seed_keys():
         sels = gmm.select_models(
             groups,
             [_component_cap(g.size, 3) for g in groups],
-            [gmm.derive_config(config, *key) for key in keys],
+            [gmm.derive_seed(config.init_seed, *key) for key in keys],
+            config,
         )
         assert est.models == tuple(sel.best.model for sel in sels), (variant, quantile)
 
