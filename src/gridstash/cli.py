@@ -357,11 +357,12 @@ def cmd_size(args) -> int:
     ensure_aligned(prices, load)
     grid = args.grid
     if grid is None:
-        # saturate around the biggest day's demand, a partial last day too:
-        # beyond that, extra capacity cannot move any purchase window further
+        # span 0 to the biggest day's demand, a partial last day too. The stop
+        # is a chosen range, not saturation: more capacity can still cut cost.
+        # A trace with no demand gets 0 to 1.
         whole = len(load) // HOURS_PER_DAY * HOURS_PER_DAY
         daily = load.values[:whole].reshape(-1, HOURS_PER_DAY).sum(axis=1)
-        peak = max(daily.max(initial=1.0), load.values[whole:].sum())
+        peak = max(daily.max(initial=0.0), load.values[whole:].sum()) or 1.0
         grid = list(np.linspace(0.0, peak, args.grid_points))
     curve = min_cost_curve(prices, load, grid)
     out = _out_dir(args.out)
@@ -377,10 +378,11 @@ def cmd_size(args) -> int:
     if args.amortized_price is not None:
         result = optimal_capacity(curve, args.amortized_price)
         doc["chosen"] = asdict(result)
+    _write_json(out / "result.json", doc, args.reproducible)
+    if args.amortized_price is not None:
         print(f"size: B*={result.capacity} at amortized price {result.amortized_price} -> {out}")
     else:
         print(f"size: curve over {len(curve.capacities)} capacities -> {out}")
-    _write_json(out / "result.json", doc, args.reproducible)
     return 0
 
 

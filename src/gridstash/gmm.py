@@ -134,7 +134,7 @@ def _kmeans_pp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def _initial_params(z: np.ndarray, k: int, rngs, floors, buffers=None):
+def _initial_params(z: np.ndarray, k: int, rngs, floors, buffers):
     """(weights, means, stds), each (lanes, K): every lane's k-means++ start.
 
     Lane g draws its centres from rngs[g]; each sample joins its nearest
@@ -142,10 +142,10 @@ def _initial_params(z: np.ndarray, k: int, rngs, floors, buffers=None):
     component its members' share, mean and std. A centre that wins no sample
     (fewer distinct values than k) keeps a token weight of one sample, the
     centre itself and the lane's std, so EM can reassign mass to it. buffers
-    is a (2, lanes, K, n) scratch array, allocated when not given.
+    is a (2, lanes, K, n) scratch array.
     """
     lanes, n = z.shape
-    comp, work = np.empty((2, lanes, k, n)) if buffers is None else buffers
+    comp, work = buffers
     centres = np.stack([_kmeans_pp_centers(row, k, rng) for row, rng in zip(z, rngs)])
     np.subtract(z[:, None, :], centres[:, :, None], out=work)
     nearest = np.abs(work, out=work).argmin(axis=1)

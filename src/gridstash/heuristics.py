@@ -33,19 +33,13 @@ class Variant(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PeriodLabeling:
-    """A partition of the 24 hours into peak and off-peak sets."""
+    """The peak hours of day; every other hour of 0..23 is off-peak."""
 
     peak: frozenset[int]
-    offpeak: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if self.peak & self.offpeak:
-            raise ValueError("peak and offpeak overlap")
-        if self.peak | self.offpeak != frozenset(range(HOURS_PER_DAY)):
-            raise ValueError("labeling must cover all 24 hours")
-
-    def is_peak(self, hour: int) -> bool:
-        return hour in self.peak
+    @property
+    def offpeak(self) -> frozenset[int]:
+        return frozenset(range(HOURS_PER_DAY)) - self.peak
 
 
 def detect_periods(prices: PriceTrace, quantile: float | None = None) -> PeriodLabeling:
@@ -69,7 +63,7 @@ def detect_periods(prices: PriceTrace, quantile: float | None = None) -> PeriodL
             raise ValueError(f"quantile must be in (0, 1], got {quantile}")
         threshold = float(np.quantile(hourly_means, quantile))
     peak = frozenset(int(h) for h in range(HOURS_PER_DAY) if hourly_means[h] > threshold)
-    return PeriodLabeling(peak=peak, offpeak=frozenset(range(HOURS_PER_DAY)) - peak)
+    return PeriodLabeling(peak)
 
 
 @dataclass(frozen=True)
@@ -87,23 +81,6 @@ class PriceEstimator:
     quantile: float | None = None
     # Selection.diagnostics() of each model, in model order
     fit_diagnostics: tuple[dict, ...] = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.hour_index) != HOURS_PER_DAY:
-            raise ValueError("hour_index must have 24 entries")
-        if not self.models:
-            raise ValueError("estimator has no models")
-        if any(not 0 <= i < len(self.models) for i in self.hour_index):
-            raise ValueError("hour_index points outside models")
-        expected = {
-            Variant.SINGLE: {1},
-            Variant.HOURLY: {HOURS_PER_DAY},
-            Variant.PEAK_OFFPEAK: {1, 2},
-        }[self.variant]
-        if len(self.models) not in expected:
-            raise ValueError(
-                f"{self.variant.value} estimator cannot have {len(self.models)} models"
-            )
 
     @cached_property
     def laws(self) -> tuple[GmmDistribution, ...]:
@@ -152,7 +129,7 @@ def fit_estimator(
     else:
         labeling = detect_periods(prices, quantile)
         if labeling.peak and labeling.offpeak:
-            hour_index = tuple(int(labeling.is_peak(h)) for h in range(HOURS_PER_DAY))
+            hour_index = tuple(int(h in labeling.peak) for h in range(HOURS_PER_DAY))
             keys = [(4,), (3,)]
         else:
             hour_index, keys = (0,) * HOURS_PER_DAY, [(2,)]

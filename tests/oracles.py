@@ -271,7 +271,10 @@ def reference_squarem_fit(samples, n_components: int, config: EmConfig = EmConfi
 
     trace: list[float] = []  # the accepted path
     step_max = 1.0
-    params = [a[0] for a in _initial_params(z[None], n_components, [rng], np.array([floor]))]
+    buffers = np.empty((2, 1, n_components, z.size))
+    params = [
+        a[0] for a in _initial_params(z[None], n_components, [rng], np.array([floor]), buffers)
+    ]
     e = 0  # E-steps so far, the one running not counted
     while True:
         ll, resp = e_step(params)

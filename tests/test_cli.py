@@ -626,6 +626,44 @@ def test_size_auto_grid(price_csv, load_csv, tmp_path):
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
+def test_size_auto_grid_scales_with_the_loads(price_csv, load_csv, tmp_path):
+    # the grid tops out at the biggest day, however small: a power-of-two
+    # scale of the loads scales every grid point exactly
+    loads = load_load_trace(load_csv)
+    small_csv = tmp_path / "small.csv"
+    save_load_trace(load_trace_from_values(loads.values * 2.0**-10, loads.start), small_csv)
+    grids = []
+    for path in (load_csv, small_csv):
+        out = tmp_path / path.stem
+        assert run("size", "--prices", str(price_csv), "--loads", str(path),
+                   "--out", str(out), "--reproducible") == 0
+        grids.append(json.loads((out / "result.json").read_text())["grid"])
+    assert grids[0][-1] == loads.values.reshape(-1, 24).sum(axis=1).max()
+    assert grids[1] == [b * 2.0**-10 for b in grids[0]]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit"],
+    ["backtest", "--train-days", "21", "--capacity", "2.0", "--k-max", "2"],
+    ["montecarlo", "--runs", "100", "--horizons", "2"],
+    ["size", "--grid-points", "3"],
+], ids=["fit", "backtest", "montecarlo", "size"])
+def test_a_failed_json_write_exits_2_and_prints_nothing(price_csv, load_csv, tmp_path,
+                                                        monkeypatch, capsys, command):
+    def disk_full(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_write_json", disk_full)
+    traces = {"fit": ["--prices", str(price_csv)], "montecarlo": []}.get(
+        command[0], ["--prices", str(price_csv), "--loads", str(load_csv)]
+    )
+    capsys.readouterr()
+    assert run(*command, *traces, "--out", str(tmp_path / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: No space left on device\n"
+
+
 def test_missing_required_option_exits_2(tmp_path):
     assert run("fit", "--out", str(tmp_path / "o")) == 2  # no --prices anywhere
 

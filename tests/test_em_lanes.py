@@ -146,7 +146,9 @@ def test_initial_params_match_the_per_component_reference():
     for name, x in _seeding_samples().items():
         z, frame = _standardize(x)
         for k in range(1, 7):
-            got = _initial_params(z[None], k, [np.random.default_rng(k)], frame[None, 2])
+            got = _initial_params(
+                z[None], k, [np.random.default_rng(k)], frame[None, 2], np.empty((2, 1, k, z.size))
+            )
             want = oracles.reference_initial_params(z, k, np.random.default_rng(k), frame[2])
             for attr, mine, ref in zip(("weights", "means", "stds"), got, want):
                 np.testing.assert_allclose(
@@ -160,10 +162,16 @@ def test_a_lane_seeded_alone_equals_it_seeded_among_24():
     z, frames = (np.stack(parts) for parts in zip(*map(_standardize, samples)))
     seeds = [derive_seed(0, 1, h) for h in range(24)]
     for k in range(1, 7):
-        together = _initial_params(z, k, [np.random.default_rng(s) for s in seeds], frames[:, 2])
+        rngs = [np.random.default_rng(s) for s in seeds]
+        buffers = np.empty((2, len(seeds), k, z.shape[1]))
+        together = _initial_params(z, k, rngs, frames[:, 2], buffers)
         for g, seed in enumerate(seeds):
             alone = _initial_params(
-                z[g : g + 1], k, [np.random.default_rng(seed)], frames[g : g + 1, 2]
+                z[g : g + 1],
+                k,
+                [np.random.default_rng(seed)],
+                frames[g : g + 1, 2],
+                np.empty((2, 1, k, z.shape[1])),
             )
             for mine, theirs in zip(alone, together):
                 assert np.array_equal(mine[0], theirs[g]), (g, k)

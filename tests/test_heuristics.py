@@ -14,8 +14,6 @@ from gridstash.errors import InsufficientDataError
 from gridstash.evaluation import daily_cost_ratios
 from gridstash.gmm import EmConfig
 from gridstash.heuristics import (
-    PeriodLabeling,
-    PriceEstimator,
     Variant,
     _component_cap,
     detect_periods,
@@ -34,8 +32,8 @@ def test_detect_periods_spec_example():
     labeling = detect_periods(evening_peak_day())
     assert labeling.peak == frozenset({17, 18, 19, 20})
     assert labeling.offpeak == frozenset(range(24)) - {17, 18, 19, 20}
-    assert labeling.is_peak(18)
-    assert not labeling.is_peak(3)
+    assert 18 in labeling.peak
+    assert 3 not in labeling.peak
 
 
 def test_detect_periods_global_mean_threshold_value():
@@ -104,13 +102,6 @@ def test_detect_periods_matches_pure_python_recomputation():
         assert labeling.peak == expected
 
 
-def test_period_labeling_must_partition():
-    with pytest.raises(ValueError):
-        PeriodLabeling(frozenset({1}), frozenset(range(24)))  # overlap
-    with pytest.raises(ValueError):
-        PeriodLabeling(frozenset({1}), frozenset({2}))  # does not cover
-
-
 def synthetic_training_trace(days=10, seed=0):
     return synth_prices(days * 24, seed=seed)
 
@@ -162,6 +153,29 @@ def test_fit_peak_offpeak_degenerate_collapses_to_pooled():
     assert len(est.models) == 1
     assert est.labeling is not None and not est.labeling.peak
     assert est.laws[0] is est.laws[18]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("seed, peak_model", [
+    (3, shift_model(DEFAULT_PRICE_MODEL, 30.0)),
+    (4, None),
+], ids=["peak-shifted", "plain"])
+def test_fitted_estimator_shape(variant, seed, peak_model):
+    trace = synth_prices(24 * 12, seed, peak_model=peak_model)
+    est = fit_estimator(trace, variant, max_components=3)
+    assert len(est.hour_index) == 24
+    assert all(i in range(len(est.models)) for i in est.hour_index)
+    if variant is Variant.PEAK_OFFPEAK:
+        peak, offpeak = est.labeling.peak, est.labeling.offpeak
+        assert peak | offpeak == frozenset(range(24)) and not peak & offpeak
+        assert len(est.models) == (2 if peak and offpeak else 1)
+    else:
+        assert est.labeling is None
+        assert len(est.models) == {Variant.SINGLE: 1, Variant.HOURLY: 24}[variant]
+    for h in range(24):
+        for g in range(24):
+            same_model = est.hour_index[h] == est.hour_index[g]
+            assert (est.laws[h] is est.laws[g]) == same_model, (h, g)
 
 
 def test_fit_is_deterministic_for_a_seed():
@@ -232,17 +246,3 @@ def test_hourly_serve_is_shift_invariant():
     shifted_ks, _, shifted_slots = _hourly_backtest(shift=1e3)
     assert shifted_ks == ks
     assert np.array_equal(shifted_slots, buy_slots)
-
-
-def test_estimator_validation():
-    from gridstash.distributions import make_model
-
-    m = make_model((1.0,), (5.0,), (1.0,))
-    with pytest.raises(ValueError):
-        PriceEstimator(Variant.SINGLE, (m,), (0,) * 23)  # wrong index length
-    with pytest.raises(ValueError):
-        PriceEstimator(Variant.SINGLE, (m, m), (0,) * 24)  # single wants 1 model
-    with pytest.raises(ValueError):
-        PriceEstimator(Variant.HOURLY, (m,), (0,) * 24)  # hourly wants 24
-    with pytest.raises(ValueError):
-        PriceEstimator(Variant.SINGLE, (m,), (1,) * 24)  # index out of range
