@@ -117,6 +117,25 @@ def _beta_rows(days: np.recarray) -> list[dict]:
     ]
 
 
+def _fit_rows(selections: tuple[gmm.Selection, ...]) -> list[dict]:
+    """report.json ``fits`` rows: one per sub-model, from its BIC sweep."""
+    return [
+        {
+            "selected_components": sel.best.model.n_components,
+            "iterations": sel.best.iterations,
+            "converged": sel.best.converged,
+            "swept_components": sel.candidates[-1].n_components,
+            "failed_components": [c.n_components for c in sel.candidates if c.report is None],
+            "capped_components": [
+                c.n_components
+                for c in sel.candidates
+                if c.report is not None and not c.report.converged
+            ],
+        }
+        for sel in selections
+    ]
+
+
 def _write_beta_csv(days: np.recarray, path: Path) -> None:
     """beta.csv: the days that have a ratio, as (day, beta) rows."""
     scored = days[~np.isnan(days.beta)]
@@ -252,36 +271,36 @@ def cmd_backtest(args) -> int:
     capacity = _capacity(args, load)
     out = _out_dir(args.out)
 
-    price_split = split_train_test(prices, args.train_days)
-    load_split = split_train_test(load, args.train_days)
+    train_prices, test_prices = split_train_test(prices, args.train_days)
+    _, test_load = split_train_test(load, args.train_days)
     estimator = fit_estimator(
-        price_split.train,
+        train_prices,
         args.variant,
         max_components=args.k_max,
         config=_em_config(args),
         quantile=args.quantile,
     )
-    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, estimator.laws)
+    scores = daily_cost_ratios(test_prices, test_load, capacity, estimator.laws)
     summary = scores.summary
     estimator_doc = {
-        "variant": estimator.variant.value,
+        "variant": args.variant,
         "models": [model_to_json_dict(m) for m in estimator.models],
         "hour_index": list(estimator.hour_index),
     }
     if estimator.labeling is not None:
         estimator_doc["peak_hours"] = sorted(estimator.labeling.peak)
-    if estimator.quantile is not None:
-        estimator_doc["quantile"] = estimator.quantile
+    if args.quantile is not None:
+        estimator_doc["quantile"] = args.quantile
     doc = {
         "config": {
             "variant": args.variant,
             "train_days": args.train_days,
             "capacity": capacity,
-            "train_slots": len(price_split.train),
-            "test_slots": len(price_split.test),
+            "train_slots": len(train_prices),
+            "test_slots": len(test_prices),
         },
         "estimator": estimator_doc,
-        "fits": list(estimator.fit_diagnostics),
+        "fits": _fit_rows(estimator.selections),
         "beta": _beta_rows(scores.days),
         "summary": summary,
     }

@@ -95,14 +95,6 @@ class LoadTrace(HourlyTrace):
             )
 
 
-@dataclass(frozen=True)
-class TraceSplit:
-    """A chronological train/test partition of one trace."""
-
-    train: HourlyTrace
-    test: HourlyTrace
-
-
 def price_trace_from_values(values, start: datetime = DEFAULT_START) -> PriceTrace:
     return PriceTrace(start, np.asarray(values, dtype=float))
 
@@ -233,8 +225,9 @@ def save_load_trace(trace: LoadTrace, path) -> None:
     _write_trace(trace, path, _LOAD_HEADER)
 
 
-def split_train_test(trace: HourlyTrace, train_days: int) -> TraceSplit:
-    """Split chronologically: first ``train_days`` whole days train, rest test.
+def split_train_test(trace: HourlyTrace, train_days: int) -> tuple[HourlyTrace, HourlyTrace]:
+    """Split chronologically into (train, test): the first ``train_days``
+    whole days train, the rest test.
 
     Raises InsufficientDataError unless both sides end up nonempty.
     """
@@ -246,7 +239,7 @@ def split_train_test(trace: HourlyTrace, train_days: int) -> TraceSplit:
             f"trace has {len(trace)} slots; need more than {cut} "
             f"for {train_days} training days plus a nonempty test span"
         )
-    return TraceSplit(train=trace.window(0, cut), test=trace.window(cut, len(trace)))
+    return trace.window(0, cut), trace.window(cut, len(trace))
 
 
 def ensure_aligned(prices: HourlyTrace, load: HourlyTrace) -> None:

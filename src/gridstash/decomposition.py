@@ -5,8 +5,9 @@ any slot t with cumulative-demand level inside (D[t_e - 1], D[t_e]] that fits
 under the shifted curve D + B. Slicing demand along those levels yields
 independent unit jobs ("pieces"), each with a feasible purchase window
 [t_start, t_end]; a dispatch schedule is recoverable from one purchase slot
-per piece. The pieces are held as three parallel arrays (``Pieces``), never
-as one object per piece: a year of hourly demand gives ~17k pieces per
+per piece, and ``verify_feasible`` raises on the first constraint such a
+dispatch breaks. The pieces are held as three parallel arrays (``Pieces``),
+never as one object per piece: a year of hourly demand gives ~17k pieces per
 capacity.
 
 The hindsight oracle lives here too: knowing every realized price, a piece
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import LoadTrace, PriceTrace, ensure_aligned
-from .errors import AssignmentWindowError, LengthMismatchError
+from .errors import AssignmentWindowError, InfeasibleDispatchError, LengthMismatchError
 
 # sub-pieces thinner than this are float dust from prefix-sum arithmetic
 _PIECE_EPS = 1e-12
@@ -87,13 +88,6 @@ class DispatchSchedule:
     def storage_level(self) -> np.ndarray:
         """Stored energy after each slot."""
         return np.cumsum(self.charge - self.discharge)
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    ok: bool
-    violation: str | None = None
-    slot: int | None = None
 
 
 def decompose(load: LoadTrace, capacity: float) -> Pieces:
@@ -214,24 +208,20 @@ _CHECKS = (
 )
 
 
-def verify_feasible(
-    schedule: DispatchSchedule,
-    load: LoadTrace,
-    capacity: float,
-) -> FeasibilityReport:
+def verify_feasible(schedule: DispatchSchedule, load: LoadTrace, capacity: float) -> None:
     """Check nonnegativity, power balance, and storage bounds at every slot.
 
     The slack is 1e-9 relative: at slot t it is scaled by the cumulative
-    demand level D[t] + capacity (at least 1), the magnitude of the prefix
-    sums that piece quantities are cut from, so float rounding passes at any
-    demand scale.
-    Returns the first violated constraint rather than raising, so callers can
-    report exactly where a schedule breaks: the earliest failing slot, and at
-    that slot the first failing check in the order of ``_CHECKS``.
+    demand level D[t] + capacity, the magnitude of the prefix sums that piece
+    quantities are cut from, so float rounding passes at any demand scale.
+    Where that level is 0, every quantity must be exactly 0.
+    Raises InfeasibleDispatchError naming the first violated constraint: the
+    earliest failing slot, and at that slot the first failing check in the
+    order of ``_CHECKS``.
     """
     if len(schedule) != len(load):
         raise LengthMismatchError(f"{len(schedule)} schedule slots vs {len(load)} demand slots")
-    slack = 1e-9 * np.maximum(1.0, np.cumsum(load.values) + capacity)
+    slack = 1e-9 * (np.cumsum(load.values) + capacity)
     direct, charge, discharge = schedule.direct, schedule.charge, schedule.discharge
     level = schedule.storage_level()
     failed = np.stack(
@@ -245,7 +235,7 @@ def verify_feasible(
         )
     )
     slots = np.flatnonzero(failed.any(axis=0))
-    if slots.size == 0:
-        return FeasibilityReport(True)
-    t = int(slots[0])
-    return FeasibilityReport(False, _CHECKS[int(np.argmax(failed[:, t]))], t)
+    if slots.size:
+        t = int(slots[0])
+        check = _CHECKS[int(np.argmax(failed[:, t]))]
+        raise InfeasibleDispatchError(f"infeasible dispatch: {check} at slot {t}")

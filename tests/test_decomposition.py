@@ -16,7 +16,11 @@ from gridstash.decomposition import (
     schedule_from_assignments,
     verify_feasible,
 )
-from gridstash.errors import AssignmentWindowError, LengthMismatchError
+from gridstash.errors import (
+    AssignmentWindowError,
+    InfeasibleDispatchError,
+    LengthMismatchError,
+)
 
 
 Piece = namedtuple("Piece", "quantity t_start t_end")
@@ -123,12 +127,14 @@ def test_schedule_reconstruction_direct_vs_storage():
     assert np.all(late.charge == 0.0)
     assert np.all(late.discharge == 0.0)
     assert late.direct[3] == 1.0 and late.direct[6] == 4.0
-    assert verify_feasible(late, load, 2.0).ok
+    verify_feasible(late, load, 2.0)
     # buy everything as early as possible: storage fills to capacity
     early = schedule_from_assignments(load, pieces, pieces.t_start)
-    assert verify_feasible(early, load, 2.0).ok
+    verify_feasible(early, load, 2.0)
     assert float(early.storage_level().max()) == pytest.approx(2.0)
-    assert not verify_feasible(early, load, 1.0).ok  # same plan, smaller battery
+    # same plan, smaller battery
+    with pytest.raises(InfeasibleDispatchError, match="storage above capacity at slot 0"):
+        verify_feasible(early, load, 1.0)
 
 
 def test_schedule_cost_depends_on_buy_slots():
@@ -153,22 +159,21 @@ def test_assignment_window_enforced():
 def test_verify_feasible_names_first_violation():
     load = load_trace_from_values([1.0, 1.0])
     bad_balance = DispatchSchedule([1.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-    report = verify_feasible(bad_balance, load, 5.0)
-    assert not report.ok
-    assert report.violation == "balance" and report.slot == 1
+    with pytest.raises(InfeasibleDispatchError, match="^infeasible dispatch: balance at slot 1$"):
+        verify_feasible(bad_balance, load, 5.0)
 
     negative = DispatchSchedule([1.0, 2.0], [0.0, -1.0], [0.0, 0.0])
-    report = verify_feasible(negative, load, 5.0)
-    assert report.violation == "negative charge" and report.slot == 1
+    with pytest.raises(InfeasibleDispatchError, match="negative charge at slot 1"):
+        verify_feasible(negative, load, 5.0)
 
     # discharging before anything was stored
     underflow = DispatchSchedule([0.0, 1.0], [0.0, 1.0], [1.0, 0.0])
-    report = verify_feasible(underflow, load, 5.0)
-    assert report.violation == "storage below empty" and report.slot == 0
+    with pytest.raises(InfeasibleDispatchError, match="storage below empty at slot 0"):
+        verify_feasible(underflow, load, 5.0)
 
     overflow = DispatchSchedule([1.0, 1.0], [9.0, 0.0], [0.0, 0.0])
-    report = verify_feasible(overflow, load, 5.0)
-    assert report.violation == "storage above capacity" and report.slot == 0
+    with pytest.raises(InfeasibleDispatchError, match="storage above capacity at slot 0"):
+        verify_feasible(overflow, load, 5.0)
 
     with pytest.raises(LengthMismatchError):
         verify_feasible(DispatchSchedule([1.0], [0.0], [0.0]), load, 5.0)
@@ -178,12 +183,24 @@ def test_verify_feasible_tolerance_scales_with_cumulative_level():
     # rounding of order 1e-16 * level passes; a real shortfall still fails
     load = load_trace_from_values([4e6, 3e6, 5e6])
     exact = DispatchSchedule([4e6, 3e6, 5e6], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    assert verify_feasible(exact, load, 1e6).ok
+    verify_feasible(exact, load, 1e6)
     dust = DispatchSchedule([4e6, 3e6, 5e6 + 2e-8], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    assert verify_feasible(dust, load, 1e6).ok
+    verify_feasible(dust, load, 1e6)
     short = DispatchSchedule([4e6, 3e6 - 1.0, 5e6], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    report = verify_feasible(short, load, 1e6)
-    assert report.violation == "balance" and report.slot == 1
+    with pytest.raises(InfeasibleDispatchError, match="balance at slot 1"):
+        verify_feasible(short, load, 1e6)
+
+
+@pytest.mark.parametrize("k", [-60, -40, 0, 40])
+def test_verify_feasible_rejects_buying_nothing_at_any_scale(k):
+    # the slack is relative to the demand level with no absolute floor, so a
+    # dispatch that serves none of a tiny demand still breaks the balance
+    load = load_trace_from_values(np.array([1.0, 2.0, 3.0]) * 2.0**k)
+    nothing = DispatchSchedule([0.0] * 3, [0.0] * 3, [0.0] * 3)
+    with pytest.raises(InfeasibleDispatchError, match="balance at slot 0"):
+        verify_feasible(nothing, load, 0.0)
+    served = DispatchSchedule(load.values, [0.0] * 3, [0.0] * 3)
+    verify_feasible(served, load, 0.0)
 
 
 def test_storage_level():
@@ -262,17 +279,17 @@ def test_verify_feasible_reports_earliest_of_two_violating_slots():
     load = load_trace_from_values([1.0, 1.0, 1.0])
     # balance breaks at slot 2, the storage overflows at slot 1
     schedule = DispatchSchedule([1.0, 1.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0])
-    report = verify_feasible(schedule, load, 5.0)
-    assert report.violation == "storage above capacity" and report.slot == 1
+    with pytest.raises(InfeasibleDispatchError, match="storage above capacity at slot 1"):
+        verify_feasible(schedule, load, 5.0)
 
 
 def test_verify_feasible_orders_checks_within_one_slot():
     load = load_trace_from_values([1.0, 1.0])
     # slot 1: negative discharge, broken balance and overflow all at once
     schedule = DispatchSchedule([1.0, 3.0], [0.0, 9.0], [0.0, -1.0])
-    report = verify_feasible(schedule, load, 5.0)
-    assert report.violation == "negative discharge" and report.slot == 1
+    with pytest.raises(InfeasibleDispatchError, match="negative discharge at slot 1"):
+        verify_feasible(schedule, load, 5.0)
     # slot 0: broken balance and storage below empty at once
     schedule = DispatchSchedule([0.0, 1.0], [0.0, 1.0], [2.0, 0.0])
-    report = verify_feasible(schedule, load, 5.0)
-    assert report.violation == "balance" and report.slot == 0
+    with pytest.raises(InfeasibleDispatchError, match="balance at slot 0"):
+        verify_feasible(schedule, load, 5.0)

@@ -73,10 +73,21 @@ def _assert_same_selection(sel, ref_rows, ref_best) -> None:
     assert sel.best.model.n_components == ref_best.model.n_components
     _assert_same_fit(sel.best, ref_best)
     _assert_same_rows(sel.candidates, ref_rows)
-    diagnostics = sel.diagnostics()
-    assert diagnostics["failed_components"] == [k for k, _, error in ref_rows if error is not None]
-    assert diagnostics["capped_components"] == [
+    assert _failed_k(sel) == [k for k, _, error in ref_rows if error is not None]
+    assert _capped_k(sel) == [
         k for k, report, _ in ref_rows if report is not None and not report.converged
+    ]
+
+
+def _failed_k(sel) -> list[int]:
+    return [row.n_components for row in sel.candidates if row.report is None]
+
+
+def _capped_k(sel) -> list[int]:
+    return [
+        row.n_components
+        for row in sel.candidates
+        if row.report is not None and not row.report.converged
     ]
 
 
@@ -107,7 +118,7 @@ def test_select_models_matches_reference_on_random_groups():
     failed = [row for row in selections[2].candidates if row.error is not None]
     assert [row.n_components for row in failed] == [3, 4]
     assert "lost all responsibility" in failed[0].error
-    assert selections[3].diagnostics()["capped_components"] != []
+    assert _capped_k(selections[3]) != []
     assert any(row.report.converged for row in selections[3].candidates[1:])
 
 
@@ -233,7 +244,7 @@ def test_lanes_leaving_at_different_k_match_solo_fits_bit_for_bit():
         (alone,) = select_models([x], [6], [seed], EmConfig())
         _assert_identical_rows(sel.candidates, alone.candidates)
         assert sel.best is not alone.best and sel.best.model == alone.best.model
-        swept.add(sel.diagnostics()["swept_components"])
+        swept.add(sel.candidates[-1].n_components)
     assert len(swept) > 2 and min(swept) < 6  # lanes left the bucket at different K
 
 
@@ -255,7 +266,7 @@ def test_gaussian_sweep_stops_after_three_non_improving_k():
     (sel,) = select_models([x], [8], [0], EmConfig())
     assert [row.n_components for row in sel.candidates] == [1, 2, 3, 4]
     assert sel.best.model.n_components == 1
-    assert sel.diagnostics()["swept_components"] == 4
+    assert sel.candidates[-1].n_components == 4
     _assert_same_rows(sel.candidates, oracles.reference_sweep(x, 8, EmConfig())[0])
 
 
@@ -297,8 +308,8 @@ def test_sweep_early_stop_follows_the_scripted_bics(monkeypatch):
         4.0: [1, 2, 3, 4],
     }
     assert [sel.best.model.n_components for sel in sels] == [1, 4, 4, 1, 1]
-    assert [sel.diagnostics()["swept_components"] for sel in sels] == [4, 7, 7, 4, 4]
-    assert sels[2].diagnostics()["failed_components"] == [1, 2, 3]
+    assert [sel.candidates[-1].n_components for sel in sels] == [4, 7, 7, 4, 4]
+    assert _failed_k(sels[2]) == [1, 2, 3]
 
 
 def test_logsumexp_matches_scipy_with_tied_maxima():

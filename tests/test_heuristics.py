@@ -109,7 +109,6 @@ def synthetic_training_trace(days=10, seed=0):
 def test_fit_single_variant():
     trace = synthetic_training_trace()
     est = fit_estimator(trace, "single", max_components=4)
-    assert est.variant is Variant.SINGLE
     assert len(est.models) == 1
     assert est.hour_index == (0,) * 24
     d0 = est.laws[0]
@@ -136,7 +135,6 @@ def test_fit_hourly_needs_full_day():
 def test_fit_peak_offpeak_variant():
     trace = synth_prices(24 * 12, seed=3, peak_model=shift_model(DEFAULT_PRICE_MODEL, 30.0))
     est = fit_estimator(trace, "peak-offpeak", max_components=4)
-    assert est.variant is Variant.PEAK_OFFPEAK
     assert len(est.models) == 2
     assert est.labeling is not None and est.labeling.peak
     peak_hour = next(iter(est.labeling.peak))
@@ -149,7 +147,6 @@ def test_fit_peak_offpeak_variant():
 def test_fit_peak_offpeak_degenerate_collapses_to_pooled():
     trace = price_trace_from_values(np.full(72, 5.0))
     est = fit_estimator(trace, "peak-offpeak")
-    assert est.variant is Variant.PEAK_OFFPEAK
     assert len(est.models) == 1
     assert est.labeling is not None and not est.labeling.peak
     assert est.laws[0] is est.laws[18]
@@ -223,11 +220,11 @@ def _hourly_backtest(scale: float = 1.0, shift: float = 0.0):
     prices = synth_prices(24 * 40, seed=1)
     prices = price_trace_from_values(prices.values * scale + shift, start=prices.start)
     load = synth_load(24 * 40, seed=2)
-    price_split = split_train_test(prices, 30)
-    load_split = split_train_test(load, 30)
-    est = fit_estimator(price_split.train, "hourly")
+    train_prices, test_prices = split_train_test(prices, 30)
+    _, test_load = split_train_test(load, 30)
+    est = fit_estimator(train_prices, "hourly")
     capacity = 0.5 * float(load.values.max())
-    scores = daily_cost_ratios(price_split.test, load_split.test, capacity, est.laws)
+    scores = daily_cost_ratios(test_prices, test_load, capacity, est.laws)
     ks = [m.n_components for m in est.models]
     return ks, scores.summary["beta_mean"], scores.result.records.buy_slot
 

@@ -11,7 +11,7 @@ import pytest
 import gridstash.policy
 import oracles
 from gridstash.data_io import load_trace_from_values, price_trace_from_values
-from gridstash.decomposition import decompose, verify_feasible
+from gridstash.decomposition import decompose, schedule_from_assignments, verify_feasible
 from gridstash.distributions import (
     DiscreteDistribution,
     UniformDistribution,
@@ -164,7 +164,8 @@ def test_run_policy_zero_capacity_buys_everything_at_deadline():
     prices = price_trace_from_values([3.0, 1.0, 2.0, 5.0])
     load = load_trace_from_values([1.0, 0.0, 2.0, 1.0])
     result = run_policy(prices, load, 0.0, (U01,) * 24)
-    assert np.all(result.schedule.charge == 0.0)
+    dispatch = schedule_from_assignments(load, decompose(load, 0.0), result.records.buy_slot)
+    assert np.all(dispatch.charge == 0.0)
     assert result.total_cost == pytest.approx(3.0 * 1 + 2.0 * 2 + 5.0 * 1)
     assert all(r.forced for r in result.records)
 
@@ -179,8 +180,9 @@ def test_run_policy_dispatch_is_feasible_and_costs_agree():
         )
         capacity = float(rng.uniform(0.0, 5.0))
         result = run_policy(prices, load, capacity, (U01,) * 24)
-        assert verify_feasible(result.schedule, load, capacity).ok
-        dispatch = result.schedule
+        pieces = decompose(load, capacity)
+        dispatch = schedule_from_assignments(load, pieces, result.records.buy_slot)
+        verify_feasible(dispatch, load, capacity)
         assert result.total_cost == pytest.approx(
             float(np.dot(dispatch.direct + dispatch.charge, prices.values)), abs=1e-9
         )
@@ -193,7 +195,8 @@ def test_run_policy_feasible_at_large_demand_magnitude():
     prices = synth_prices(24 * 7, 2)
     capacity = 0.5 * float(load.values.max())
     result = run_policy(prices, load, capacity, (U01,) * 24)
-    assert verify_feasible(result.schedule, load, capacity).ok
+    pieces = decompose(load, capacity)
+    verify_feasible(schedule_from_assignments(load, pieces, result.records.buy_slot), load, capacity)
     assert math.fsum(r.quantity for r in result.records) == pytest.approx(
         float(load.values.sum()), rel=1e-12
     )

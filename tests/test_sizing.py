@@ -39,6 +39,17 @@ def test_curve_validation():
         SizingCurve((0.0, 1.0), (5.0,))
 
 
+@pytest.mark.parametrize("k", [-40, -20, 0, 20, 40, 60])
+def test_curve_validation_scales_with_capacity_and_cost(k):
+    # a marginal saving is a cost per unit of capacity, so its slack follows
+    # both scales: a doubling saving fails at every magnitude
+    scale = 2.0**k
+    caps = (0.0, scale, 2.0 * scale)
+    with pytest.raises(ValueError, match="marginal saving rises"):
+        SizingCurve(caps, (10.0 * scale, 9.0 * scale, 7.0 * scale))
+    SizingCurve(caps, (10.0 * scale, 8.0 * scale, 7.0 * scale))
+
+
 def test_random_instances_have_valid_shape():
     rng = np.random.default_rng(20)
     for trial in range(20):
