@@ -224,7 +224,7 @@ def cmd_fit(args) -> int:
     _require(args, "prices", "out")
     prices = load_price_trace(args.prices)
     out = _out_dir(args.out)
-    (sel,) = gmm.select_models([prices.values], [args.k_max], [args.seed], _em_config(args))
+    (sel,) = gmm.select_models([prices.values], [args.k_max], _em_config(args))
     best = sel.best
     save_model(best.model, out / "model.json")
     write_csv(

@@ -367,8 +367,8 @@ def em_fit(samples, n_components: int, config: EmConfig = EmConfig()) -> FitRepo
 
 
 def derive_seed(seed: int, *keys: int) -> int:
-    """A seed derived from seed and keys, so fits are order-independent."""
-    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
+    """The seed itself without keys, else one derived from both, so fits are order-independent."""
+    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0]) if keys else seed
 
 
 @dataclass(frozen=True)
@@ -383,12 +383,12 @@ class CandidateFit:
 def fit_candidates(samples, max_components: int, config: EmConfig = EmConfig()) -> list[CandidateFit]:
     """The rows of one group's BIC sweep over 1..max_components, per-K failures
     included; the sweep may stop early (see select_models)."""
-    return list(select_models([samples], [max_components], [config.init_seed], config)[0].candidates)
+    return list(select_models([samples], [max_components], config)[0].candidates)
 
 
 def select_model(samples, max_components: int, config: EmConfig = EmConfig()) -> FitReport:
     """Pick the candidate with the lowest BIC; ties go to fewer components."""
-    return select_models([samples], [max_components], [config.init_seed], config)[0].best
+    return select_models([samples], [max_components], config)[0].best
 
 
 @dataclass(frozen=True)
@@ -400,21 +400,23 @@ class Selection:
     best: FitReport
 
 
-def select_models(groups, max_components, seeds, config: EmConfig) -> list[Selection]:
-    """The BIC sweep over many sample groups, each with its own cap and seed,
-    all under one config (its init_seed is not read).
+def select_models(groups, max_components, config: EmConfig, keys=None) -> list[Selection]:
+    """The BIC sweep over many sample groups, each with its own cap and seed
+    key, all under one config.
 
-    Group i fits K = 1, 2, ... up to max_components[i], seeded with
-    derive_seed(seeds[i], K); a K that fails is kept as a row with its
-    error, and a group whose every K fails re-raises its last error. A group
-    stops early once _BIC_PATIENCE consecutive K, counted from its first
-    successful fit, fail to beat its best BIC, so its candidates end at the
-    stopping K. Groups sharing a sample count are fitted together: each K runs
-    once for the bucket, with one EM lane per group still sweeping; lanes are
-    independent, so a group's rows do not depend on the others. Each group is
-    standardized once (see _standardize), and its reports are in its own units.
+    Group i, seeded with derive_seed(config.init_seed, *keys[i]) (each key is
+    empty by default), fits K = 1, 2, ... up to max_components[i], each K
+    seeded with derive_seed(group seed, K); a K that fails is kept as a row
+    with its error, and a group whose every K fails re-raises its last error.
+    A group stops early once _BIC_PATIENCE consecutive K, counted from its
+    first successful fit, fail to beat its best BIC, so its candidates end at
+    the stopping K. Groups sharing a sample count are fitted together: each K
+    runs once for the bucket, with one EM lane per group still sweeping; lanes
+    are independent, so a group's rows do not depend on the others. Each group
+    is standardized once (see _standardize); its reports are in its own units.
     """
     prepared = [_standardize(g) for g in groups]
+    seeds = [derive_seed(config.init_seed, *key) for key in keys or [()] * len(prepared)]
     rows: list[list[CandidateFit]] = [[] for _ in prepared]
     last_error: list[Exception | None] = [None] * len(prepared)
     best: list[FitReport | None] = [None] * len(prepared)

@@ -110,10 +110,10 @@ def fit_estimator(
     the seed key of each sub-model: single (0,), hourly (1, h), peak-offpeak
     (4,) off-peak and (3,) peak, or (2,) when a degenerate labeling (no peak
     or no off-peak hours) collapses it to one pooled model. Every sub-model
-    then runs the EM sweep with BIC selection on the prices of its hours,
-    seeded from the config seed and its key so results do not depend on fit
-    order; the sub-models are fitted together, one EM lane per group. Only
-    peak-offpeak takes a quantile.
+    then runs the EM sweep with BIC selection on the prices of its hours;
+    select_models seeds it from config.init_seed and its key, so results do
+    not depend on fit order, and fits the sub-models together, one EM lane
+    per group. Only peak-offpeak takes a quantile.
     """
     variant = Variant(variant)
     if max_components < 1:
@@ -139,9 +139,6 @@ def fit_estimator(
     hour_groups = np.asarray(hour_index)[prices.hours_of_day()]
     groups = [prices.values[hour_groups == g] for g in range(len(keys))]
     sels = gmm.select_models(
-        groups,
-        [_component_cap(g.size, max_components) for g in groups],
-        [gmm.derive_seed(config.init_seed, *key) for key in keys],
-        config,
+        groups, [_component_cap(g.size, max_components) for g in groups], config, keys
     )
     return PriceEstimator(tuple(sels), hour_index, labeling)

@@ -92,7 +92,7 @@ def _capped_k(sel) -> list[int]:
 
 
 def _lane_groups():
-    """Random groups in two sweeps of (groups, caps, seeds, config): five
+    """Random groups in two sweeps of (groups, caps, config, keys): five
     equal-size lanes under a tight tol and a 40-pass cap, in which one lane
     starves at K=3 and others stop at the cap while the rest converge; then
     unequal sizes under the default config."""
@@ -101,18 +101,23 @@ def _lane_groups():
         np.concatenate([np.zeros(60), np.ones(60)]) if lane == 2 else _random_group(rng, 120)
         for lane in range(5)
     ]
-    tight = (groups, [4] * 5, list(range(5)), EmConfig(tol=oracles.STARVE_TOL, max_iter=40))
+    tight_config = EmConfig(tol=oracles.STARVE_TOL, max_iter=40, init_seed=3)
+    tight = (groups, [4] * 5, tight_config, [(lane,) for lane in range(5)])
     sizes = ((80, 3), (80, 3), (50, 5), (120, 2))
     groups = [_random_group(rng, n) for n, _ in sizes]
-    seeds = [int(rng.integers(1000)) for _ in sizes]
-    return [tight, (groups, [cap for _, cap in sizes], seeds, EmConfig())]
+    keys = [(int(rng.integers(1000)),) for _ in sizes]
+    return [tight, (groups, [cap for _, cap in sizes], EmConfig(), keys)]
+
+
+def _group_seeds(config, keys) -> list[int]:
+    return [derive_seed(config.init_seed, *key) for key in keys]
 
 
 def test_select_models_matches_reference_on_random_groups():
     sweeps = [(sweep, select_models(*sweep)) for sweep in _lane_groups()]
-    for (groups, caps, seeds, config), selections in sweeps:
+    for (groups, caps, config, keys), selections in sweeps:
         assert len(selections) == len(groups)
-        for x, cap, seed, sel in zip(groups, caps, seeds, selections):
+        for x, cap, seed, sel in zip(groups, caps, _group_seeds(config, keys), selections):
             _assert_same_selection(sel, *oracles.reference_sweep(x, cap, replace(config, init_seed=seed)))
     selections = sweeps[0][1]
     failed = [row for row in selections[2].candidates if row.error is not None]
@@ -123,7 +128,8 @@ def test_select_models_matches_reference_on_random_groups():
 
 
 def test_em_lanes_match_reference_for_every_candidate():
-    groups, caps, seeds, config = _lane_groups()[0]
+    groups, caps, config, keys = _lane_groups()[0]
+    seeds = _group_seeds(config, keys)
     prepared = [_standardize(x) for x in groups]
     stacked, frames = (np.stack(parts) for parts in zip(*prepared))
     for k in range(1, caps[0] + 1):
@@ -214,7 +220,7 @@ def test_fit_candidates_match_reference_rows_and_sweep_reraises():
     assert fit_candidates(groups[3], 3, configs[3])[2].error is not None
     # every candidate of the empty group fails, so the sweep re-raises
     with pytest.raises(InsufficientSamplesError):
-        select_models([groups[0], np.empty(0)], [2, 1], [4, 5], EmConfig())
+        select_models([groups[0], np.empty(0)], [2, 1], EmConfig(), [(4,), (5,)])
 
 
 def _assert_identical_rows(rows, want) -> None:
@@ -237,15 +243,32 @@ def test_lanes_leaving_at_different_k_match_solo_fits_bit_for_bit():
     # 24 equal-size groups, one bucket, as the hourly estimator fits them
     rng = np.random.default_rng(99)
     groups = [_random_group(rng, 100) for _ in range(24)]
-    seeds = [derive_seed(0, 1, h) for h in range(24)]
-    together = select_models(groups, [6] * 24, seeds, EmConfig())
+    keys = [(1, h) for h in range(24)]
+    together = select_models(groups, [6] * 24, EmConfig(), keys)
     swept = set()
-    for x, seed, sel in zip(groups, seeds, together):
-        (alone,) = select_models([x], [6], [seed], EmConfig())
+    for x, key, sel in zip(groups, keys, together):
+        (alone,) = select_models([x], [6], EmConfig(), [key])
         _assert_identical_rows(sel.candidates, alone.candidates)
         assert sel.best is not alone.best and sel.best.model == alone.best.model
         swept.add(sel.candidates[-1].n_components)
     assert len(swept) > 2 and min(swept) < 6  # lanes left the bucket at different K
+
+
+def test_a_sweep_is_seeded_from_its_config_and_keys():
+    # two sweeps that differ only in init_seed fit K >= 2 from other starts
+    x = np.random.default_rng(14).normal(0.0, 1.0, 200)
+    (zero,) = select_models([x], [3], EmConfig())
+    (five,) = select_models([x], [3], EmConfig(init_seed=5))
+    for a, b in zip(zero.candidates[1:], five.candidates[1:]):
+        assert a.report.ll_trace.tolist() != b.report.ll_trace.tolist(), a.n_components
+    for k in (1, 2, 3):
+        for config in (EmConfig(), EmConfig(init_seed=5)):
+            (sel,) = select_models([x], [k], config)
+            _assert_identical_rows(sel.candidates, fit_candidates(x, k, config))
+    # a keyed group is seeded as a one-group sweep from the seed its key derives
+    (keyed,) = select_models([x], [3], EmConfig(init_seed=5), [(7,)])
+    _assert_identical_rows(keyed.candidates, fit_candidates(x, 3, EmConfig(init_seed=derive_seed(5, 7))))
+    assert derive_seed(5) == 5
 
 
 def test_em_work_on_an_hourly_shaped_bucket_is_pinned():
@@ -254,8 +277,8 @@ def test_em_work_on_an_hourly_shaped_bucket_is_pinned():
     # those passes back has to edit this number
     rng = np.random.default_rng(2718)
     groups = [_random_group(rng, 273) for _ in range(24)]
-    seeds = [derive_seed(0, 1, h) for h in range(24)]
-    rows = [row for sel in select_models(groups, [6] * 24, seeds, EmConfig()) for row in sel.candidates]
+    keys = [(1, h) for h in range(24)]
+    rows = [row for sel in select_models(groups, [6] * 24, EmConfig(), keys) for row in sel.candidates]
     assert len(rows) == 117 and all(row.report is not None for row in rows)
     assert sum(row.report.iterations for row in rows) == 3636
 
@@ -263,7 +286,7 @@ def test_em_work_on_an_hourly_shaped_bucket_is_pinned():
 def test_gaussian_sweep_stops_after_three_non_improving_k():
     rng = np.random.default_rng(9)
     x = rng.normal(0.0, 1.0, 600)
-    (sel,) = select_models([x], [8], [0], EmConfig())
+    (sel,) = select_models([x], [8], EmConfig())
     assert [row.n_components for row in sel.candidates] == [1, 2, 3, 4]
     assert sel.best.model.n_components == 1
     assert sel.candidates[-1].n_components == 4
@@ -298,7 +321,7 @@ def _scripted_lanes(z, n_components, seeds, frames, config):
 def test_sweep_early_stop_follows_the_scripted_bics(monkeypatch):
     monkeypatch.setattr(gridstash.gmm, "_em_lanes", _scripted_lanes)
     keys = sorted(_SCRIPTED_BICS)
-    sels = select_models([np.full(40, key) for key in keys], [8] * len(keys), [0] * len(keys), EmConfig())
+    sels = select_models([np.full(40, key) for key in keys], [8] * len(keys), EmConfig())
     swept = {key: [row.n_components for row in sel.candidates] for key, sel in zip(keys, sels)}
     assert swept == {
         0.0: [1, 2, 3, 4],

@@ -206,12 +206,7 @@ def test_submodel_seed_keys():
     ]
     for variant, quantile, groups, keys in cases:
         est = fit_estimator(trace, variant, max_components=3, config=config, quantile=quantile)
-        sels = gmm.select_models(
-            groups,
-            [_component_cap(g.size, 3) for g in groups],
-            [gmm.derive_seed(config.init_seed, *key) for key in keys],
-            config,
-        )
+        sels = gmm.select_models(groups, [_component_cap(g.size, 3) for g in groups], config, keys)
         assert est.models == tuple(sel.best.model for sel in sels), (variant, quantile)
 
 
