@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -192,7 +193,8 @@ def test_component_cap_scales_with_samples():
 
 def test_submodel_seed_keys():
     # each variant fits its groups with fixed seed keys: single (0,), hourly
-    # (1, h), peak-offpeak (4,) off-peak and (3,) peak, collapsed (2,)
+    # (1, h), peak-offpeak (4,) off-peak and (3,) peak, collapsed (2,); each
+    # group alone, seeded from init_seed and its key, gives the same model
     config = EmConfig(init_seed=5)
     trace = synth_prices(24 * 21, seed=4, peak_model=shift_model(DEFAULT_PRICE_MODEL, 30.0))
     values, hours = trace.values, trace.hours_of_day()
@@ -206,8 +208,12 @@ def test_submodel_seed_keys():
     ]
     for variant, quantile, groups, keys in cases:
         est = fit_estimator(trace, variant, max_components=3, config=config, quantile=quantile)
-        sels = gmm.select_models(groups, [_component_cap(g.size, 3) for g in groups], config, keys)
-        assert est.models == tuple(sel.best.model for sel in sels), (variant, quantile)
+        seeds = [gmm.derive_seed(config.init_seed, *key) for key in keys]
+        want = tuple(
+            gmm.select_model(g, _component_cap(g.size, 3), replace(config, init_seed=seed)).model
+            for g, seed in zip(groups, seeds)
+        )
+        assert est.models == want, (variant, quantile)
 
 
 def _hourly_backtest(scale: float = 1.0, shift: float = 0.0):
