@@ -106,21 +106,18 @@ def decompose(load: LoadTrace, capacity: float) -> Pieces:
         raise ValueError(f"capacity must be finite and >= 0, got {capacity!r}")
     cumulative = np.cumsum(load.values)
     shifted = cumulative + capacity
-    # sorted, not deduplicated: a repeated cut leaves a zero-width gap, which
-    # the dust filter below drops (np.unique would import numpy.ma)
-    cuts = np.sort(
-        np.concatenate(([0.0], cumulative[cumulative > 0], shifted[shifted < cumulative[-1]]))
-    )
-    lower = cuts[:-1]
-    upper = cuts[1:]
-    quantity = upper - lower
-    keep = quantity > _PIECE_EPS
-    lower, upper = lower[keep], upper[keep]
-    return Pieces(
-        quantity[keep],
-        np.searchsorted(shifted, lower, side="right"),
-        np.searchsorted(cumulative, upper, side="left"),
-    )
+    levels = np.concatenate(([0.0], cumulative[cumulative > 0]))
+    cuts = np.concatenate((levels, shifted[shifted < cumulative[-1]]))
+    # a stable sort merges the two sorted runs, and its order tells each cut's
+    # run; a repeated cut leaves a zero-width gap, which the dust filter drops
+    order = np.argsort(cuts, kind="stable")
+    quantity = np.diff(cuts[order])
+    kept = np.flatnonzero(quantity > _PIECE_EPS)
+    # the cuts at positions <= i are exactly those <= gap i's lower level, so
+    # t_start counts the shifted ones there; t_end counts the D[t] < upper:
+    # the other cuts there but the 0 cut, and the slots where D is still 0
+    t_start = np.cumsum(order >= levels.size)[kept]
+    return Pieces(quantity[kept], t_start, kept - t_start + (cumulative.size + 1 - levels.size))
 
 
 class WindowMinima:
@@ -144,19 +141,21 @@ class WindowMinima:
             half = 1 << (k - 1)
             stop = n - 2 * half + 1
             np.minimum(table[k - 1, :stop], table[k - 1, half : half + stop], out=table[k, :stop])
-        self._table = table
+        # row-major flat: two takes cost less than 2-D fancy indexing
+        self._flat, self._width = table.ravel(), n
 
     def __call__(self, t_start, t_end) -> np.ndarray:
         lo = np.asarray(t_start, dtype=np.int64)
-        hi = np.asarray(t_end, dtype=np.int64)
+        length = np.asarray(t_end, dtype=np.int64) - lo + 1
         # floor(log2(window length)), exact for integers via the float exponent
-        k = np.frexp(hi - lo + 1)[1] - 1
-        return np.minimum(self._table[k, lo], self._table[k, hi + 1 - (1 << k)])
+        k = np.frexp(length)[1] - 1
+        first = k.astype(np.int64) * self._width + lo
+        return np.minimum(self._flat.take(first), self._flat.take(first + length - (1 << k)))
 
 
 def offline_cost(minima: WindowMinima, pieces: Pieces) -> float:
     """Hindsight cost of a piece set: each piece pays its window minimum."""
-    return math.fsum((pieces.quantity * minima(pieces.t_start, pieces.t_end)).tolist())
+    return math.fsum(memoryview(pieces.quantity * minima(pieces.t_start, pieces.t_end)))
 
 
 def offline_optimal_general(prices: PriceTrace, load: LoadTrace, capacity: float) -> float:

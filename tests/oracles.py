@@ -6,7 +6,10 @@ Neither shares code with the package's decomposition or recursion paths.
 The serve reference runs the policy one piece and one slot at a time; it
 shares only the threshold recursion with the package's grouped array serve.
 The decomposition reference walks each deadline's level interval cut by cut,
-one piece at a time, as the package's whole-array sweep must reproduce.
+one piece at a time, as the package's whole-array sweep must reproduce. A
+second one sorts all cuts and binary-searches every piece's window ends, the
+package's former sweep, which its merge of the two sorted cut runs must
+reproduce bit for bit.
 The EM reference is one SQUAREM-accelerated fit at a time, written as a plain
 loop of E-steps; it shares only the seeded initialisation with the package's
 batched core, and follows the core's operation order so that its parameters
@@ -106,6 +109,25 @@ def reference_decompose(demand, capacity: float) -> list[tuple[float, int, int]]
                 pieces.append((quantity, t_start, t_end))
             current = cut
     return pieces
+
+
+def sorted_cut_decompose(demand, capacity: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(quantity, t_start, t_end) arrays: sort every cut, then binary-search
+    each piece's first purchase slot and deadline. Gaps of 1e-12 or less are
+    dropped.
+    """
+    cumulative = np.cumsum(np.asarray(demand, dtype=float))
+    shifted = cumulative + capacity
+    cuts = np.sort(
+        np.concatenate(([0.0], cumulative[cumulative > 0], shifted[shifted < cumulative[-1]]))
+    )
+    lower, upper = cuts[:-1], cuts[1:]
+    keep = upper - lower > 1e-12
+    return (
+        (upper - lower)[keep],
+        np.searchsorted(shifted, lower[keep], side="right"),
+        np.searchsorted(cumulative, upper[keep], side="left"),
+    )
 
 
 def all_price_paths(values: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:

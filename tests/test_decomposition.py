@@ -241,6 +241,30 @@ def test_decompose_matches_reference_on_random_instances():
         assert pieces.t_start.dtype == np.int64 and pieces.t_end.dtype == np.int64
 
 
+def test_decompose_matches_both_references_bit_for_bit_on_integer_ties():
+    # integer loads with runs of zero demand put many cuts on the same level;
+    # the capacities hit 0, a half level, a level the loads reach, the total
+    # demand and one past it
+    rng = np.random.default_rng(29)
+    for trial in range(400):
+        n = int(rng.integers(1, 80))
+        demand = rng.integers(0, 4, size=n) * (rng.random(n) < rng.uniform(0.2, 0.9))
+        demand[rng.integers(0, n) : rng.integers(0, n + 1)] = 0
+        demand = demand.astype(float)
+        total = float(demand.sum())
+        partial = float(demand[: rng.integers(0, n + 1)].sum())
+        for capacity in (0.0, 0.5, partial, total, total + 1.0):
+            pieces = decompose(load_trace_from_values(demand), capacity)
+            quantity, t_start, t_end = oracles.sorted_cut_decompose(demand, capacity)
+            assert pieces.quantity.tobytes() == quantity.tobytes(), (trial, capacity)
+            assert pieces.t_start.tolist() == t_start.tolist(), (trial, capacity)
+            assert pieces.t_end.tolist() == t_end.tolist(), (trial, capacity)
+            expected = oracles.reference_decompose(demand, capacity)
+            assert [(q.hex(), s, e) for q, s, e in as_tuples(pieces)] == [
+                (q.hex(), s, e) for q, s, e in expected
+            ], (trial, capacity)
+
+
 def test_pieces_are_read_only_and_sorted():
     load = load_trace_from_values([0, 2, 0, 1, 3, 0, 4.0])
     pieces = decompose(load, 2.5)
