@@ -4,10 +4,6 @@ Traces are two-column CSV files (``timestamp,price`` or ``timestamp,demand``)
 with ISO-8601 timestamps on exact hour boundaries. Internally a trace is a
 wall-clock start plus a dense float array, one value per hour; missing or
 duplicated hours are hard errors, never silently interpolated.
-
-A file in exactly the form ``save_*_trace`` writes is read in whole-array
-passes; any other goes to the per-row parser, which raises every parse and
-gap error. The trace classes check values the same way on both paths.
 """
 
 from __future__ import annotations
@@ -178,47 +174,10 @@ def _rows_to_trace(rows: list[tuple[datetime, float]], cls):
     return cls(rows[0][0], values)
 
 
-def _read_canonical(path, header: tuple[str, str], cls):
-    """The trace in ``path`` if it is exactly in ``save_*_trace``'s form, else None.
-
-    That form: the exact header; one ``\\r\\n`` or one ``\\n`` closing every
-    line; two fields a line; stamps that are, as text, the hourly run from a
-    naive on-the-hour first stamp in ``isoformat(timespec="minutes")`` form;
-    values that ``float()`` reads as finite (from bytes, so ASCII only).
-    """
-    data = Path(path).read_bytes()
-    end = b"\r\n" if data.endswith(b"\r\n") else b"\n"
-    head, _, body = data.partition(end)
-    cells = body.replace(end, b",").split(b",")
-    stamps, fields = cells[:-1:2], cells[1::2]
-    if head != ",".join(header).encode() or not fields:
-        return None
-    n = len(stamps)
-    try:
-        start = datetime.fromisoformat(stamps[0].decode())
-        last = start + timedelta(hours=n - 1)  # OverflowError past year 9999
-        values = np.array(list(map(float, fields)))
-    except (ValueError, OverflowError):
-        return None
-    # the run, a day at a time: formatting each hour costs more than the read
-    days = np.arange(np.datetime64(start.date()), np.datetime64(last.date()) + 1).astype(bytes)
-    clock = [b"T%02d:00" % hour for hour in range(HOURS_PER_DAY)]
-    run = [day + hour for day in days.tolist() for hour in clock][start.hour : start.hour + n]
-    # one comma before each line break, and no carriage return outside line ends
-    marks = np.frombuffer(body, np.uint8)
-    commas, breaks = np.flatnonzero(marks == ord(",")), np.flatnonzero(marks == ord("\n"))
-    if (stamps != run or not np.isfinite(values).all() or commas.size != n or breaks.size != n
-            or (commas > breaks).any() or (breaks[:-1] > commas[1:]).any()
-            or body.count(b"\r") != (len(end) - 1) * n):
-        return None
-    return cls(start, values)
-
-
 def _load_trace(path, header: tuple[str, str], cls):
     """Read and check one trace file; every trace error it raises names the file."""
     try:
-        trace = _read_canonical(path, header, cls)
-        return trace if trace is not None else _rows_to_trace(_read_rows(path, header), cls)
+        return _rows_to_trace(_read_rows(path, header), cls)
     except (TraceParseError, TraceGapError, TraceValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError:

@@ -7,7 +7,6 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from gridstash import data_io
 from gridstash.data_io import (
     LoadTrace,
     PriceTrace,
@@ -20,7 +19,6 @@ from gridstash.data_io import (
     save_price_trace,
     split_train_test,
 )
-from gridstash.synth import DEFAULT_PRICE_MODEL, shift_model, synth_load, synth_prices
 from gridstash.errors import (
     AlignmentError,
     EmptyTraceError,
@@ -205,148 +203,6 @@ def test_dst_trace_counts_hours_in_first_row_offset(tmp_path, stamps, hours, sav
     save_price_trace(trace, tmp_path / "out.csv")
     rows = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == saved
-
-
-def _cell(row, col, text):
-    """Mutation: cell ``col`` of line ``row`` (0 is the header) becomes ``text``."""
-    def mutate(data):
-        lines = data.split(b"\r\n")
-        cells = lines[row].split(b",")
-        cells[col] = text
-        lines[row] = b",".join(cells)
-        return b"\r\n".join(lines)
-    return mutate
-
-
-def _lines(edit):
-    """Mutation: ``edit`` changes the list of lines in place."""
-    def mutate(data):
-        lines = data.split(b"\r\n")
-        edit(lines)
-        return b"\r\n".join(lines)
-    return mutate
-
-
-def _swap(lines):
-    lines[3], lines[4] = lines[4], lines[3]
-
-
-def _move_stamp_up(lines):
-    # three fields, then one: the same cells in the same order, split otherwise
-    stamp, value = lines[4].split(b",")
-    lines[3:5] = [lines[3] + b"," + stamp, value]
-
-
-def _upper_case_header(lines):
-    lines[0] = lines[0].upper()
-
-
-_PAST_YEAR_9999 = (
-    b"timestamp,{name}\r\n9999-12-31T22:00,1.0\r\n9999-12-31T23:00,2.0\r\n"
-    b"10000-01-01T00:00,3.0\r\n"
-)
-
-# name -> bytes of a save_*_trace file -> mutated bytes
-_MUTATIONS = {
-    "unsorted": _lines(_swap),
-    "gap": _lines(lambda lines: lines.pop(5)),
-    "duplicate": _lines(lambda lines: lines.insert(6, lines[5])),
-    "utc-z": lambda data: data.replace(b":00,", b":00Z,"),
-    "offset": lambda data: data.replace(b":00,", b":00+01:00,"),
-    "padded-stamp": _cell(2, 0, b" 2021-03-05T08:00 "),
-    "sub-hour": _cell(2, 0, b"2021-03-05T08:30"),
-    "seconds": _cell(1, 0, b"2021-03-05T07:00:00"),
-    "underscore": _cell(4, 1, b"1_0"),
-    "nan": _cell(4, 1, b"nan"),
-    "inf": _cell(4, 1, b"inf"),
-    "overflow": _cell(4, 1, b"1e400"),
-    "negative": _cell(4, 1, b"-1.0"),
-    "padded-value": _cell(4, 1, b" 2.5\t"),
-    "blank-line": _lines(lambda lines: lines.insert(3, b"")),
-    "lf-line-ends": lambda data: data.replace(b"\r\n", b"\n"),
-    "mixed-line-ends": lambda data: data.replace(b"\r\n", b"\n", 3),
-    "stray-cr": _cell(4, 1, b"2.5\r"),
-    "no-final-newline": lambda data: data[:-2],
-    "byte-order-mark": lambda data: b"\xef\xbb\xbf" + data,
-    "latin-1": _cell(4, 1, b"2.5\xe9"),
-    "quoted": _cell(4, 1, b'"2.5"'),
-    "third-field": _cell(4, 1, b"2.5,3.5"),
-    "stamp-moved-up": _lines(_move_stamp_up),
-    "upper-case-header": _lines(_upper_case_header),
-    "header-only": lambda data: data.split(b"\r\n")[0] + b"\r\n",
-    "empty": lambda data: b"",
-    "past-year-9999": lambda data: _PAST_YEAR_9999.replace(
-        b"{name}", data.split(b"\r\n")[0].split(b",")[1]),
-}
-# mutations that leave the exact form the whole-file pass accepts
-_STILL_CANONICAL = {"underscore", "negative", "padded-value", "lf-line-ends"}
-
-
-def _outcome(load, path):
-    try:
-        trace = load(path)
-    except Exception as exc:  # the comparison is over every exception type
-        return type(exc), str(exc)
-    return type(trace), trace.start, trace.values.tobytes()
-
-
-def _saved_files(tmp_path):
-    rng = np.random.default_rng(7)
-    prices = PriceTrace(datetime(2021, 3, 5, 7), rng.normal(40.0, 25.0, size=30))
-    loads = LoadTrace(datetime(2021, 3, 5, 7), rng.uniform(0.0, 3.0, size=30))
-    save_price_trace(prices, tmp_path / "prices.csv")
-    save_load_trace(loads, tmp_path / "loads.csv")
-    return (
-        (load_price_trace, tmp_path / "prices.csv", ("timestamp", "price"), PriceTrace),
-        (load_load_trace, tmp_path / "loads.csv", ("timestamp", "demand"), LoadTrace),
-    )
-
-
-@pytest.mark.parametrize("name", sorted(_MUTATIONS))
-def test_whole_file_pass_matches_the_per_row_parser(tmp_path, monkeypatch, name):
-    # the per-row parser is the oracle: same start and bit-identical values,
-    # or the same exception type and message, file name included
-    for load, saved, header, cls in _saved_files(tmp_path):
-        path = tmp_path / f"mutated-{saved.name}"
-        path.write_bytes(_MUTATIONS[name](saved.read_bytes()))
-        got = _outcome(load, path)
-        with monkeypatch.context() as patch:
-            patch.setattr(data_io, "_read_canonical", lambda *args: None)
-            assert got == _outcome(load, path)
-        if cls is PriceTrace:
-            taken = data_io._read_canonical(path, header, cls) is not None
-            assert taken == (name in _STILL_CANONICAL)
-
-
-def _no_per_row_parser(*args):
-    raise AssertionError("the per-row parser was called")
-
-
-def test_every_file_save_writes_takes_the_whole_file_pass(tmp_path, monkeypatch):
-    rng = np.random.default_rng(11)
-    odd = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 0.1, 1 / 3, -2.5e-7])
-    traces = [
-        PriceTrace(datetime(2021, 3, 5, 7), rng.normal(40.0, 25.0, size=100)),
-        PriceTrace(datetime(2019, 12, 31, 20), odd),  # a year end, then a leap year
-        PriceTrace(datetime(2024, 2, 28, 23), [7.0]),
-        PriceTrace(datetime(1, 1, 1), [1.5, 2.5]),
-        PriceTrace(datetime(9999, 12, 31, 22), [1.5, 2.5]),
-        LoadTrace(datetime(2021, 1, 1), np.abs(odd)),
-        # the benchmark's year files: prices with a shifted peak, loads
-        synth_prices(8760, 2, peak_model=shift_model(DEFAULT_PRICE_MODEL, 12.0)),
-        synth_load(8760, 3),
-    ]
-    monkeypatch.setattr(data_io, "_read_rows", _no_per_row_parser)
-    for i, trace in enumerate(traces):
-        path = tmp_path / f"{i}.csv"
-        if isinstance(trace, LoadTrace):
-            save_load_trace(trace, path)
-            back = load_load_trace(path)
-        else:
-            save_price_trace(trace, path)
-            back = load_price_trace(path)
-        assert type(back) is type(trace) and back.start == trace.start
-        assert back.values.tobytes() == trace.values.tobytes()
 
 
 def test_split_sizes_match_day_boundaries():
