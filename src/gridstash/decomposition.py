@@ -4,11 +4,12 @@ A storage of capacity B lets any unit of demand due at slot t_e be bought at
 any slot t with cumulative-demand level inside (D[t_e - 1], D[t_e]] that fits
 under the shifted curve D + B. Slicing demand along those levels yields
 independent unit jobs ("pieces"), each with a feasible purchase window
-[t_start, t_end]; a dispatch schedule is recoverable from one purchase slot
-per piece, and ``verify_feasible`` raises on the first constraint such a
-dispatch breaks. The pieces are held as three parallel arrays (``Pieces``),
-never as one object per piece: a year of hourly demand gives ~17k pieces per
-capacity.
+[t_start, t_end]. Every slice of positive width is kept, however thin, so
+scaling loads and capacity by a power of two scales each quantity exactly and
+moves no window. A dispatch schedule is recoverable from one purchase slot per
+piece, and ``verify_feasible`` raises on the first constraint it breaks. The
+pieces are held as three parallel arrays (``Pieces``), never as one object
+per piece: a year of hourly demand gives ~17k pieces per capacity.
 
 The hindsight oracle lives here too: knowing every realized price, a piece
 pays its window minimum (``WindowMinima``, a sparse table over the prices),
@@ -24,9 +25,6 @@ import numpy as np
 
 from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .errors import AssignmentWindowError, InfeasibleDispatchError, LengthMismatchError
-
-# sub-pieces thinner than this are float dust from prefix-sum arithmetic
-_PIECE_EPS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +98,8 @@ def decompose(load: LoadTrace, capacity: float) -> Pieces:
     exceeds lower. Pieces come out sorted by (t_end, level). With capacity 0
     every piece is (demand, t, t); total piece quantity per deadline equals
     that slot's demand (exactly, when demands are exactly representable; see
-    tests for the float caveat). Gaps no wider than float dust are dropped.
+    tests for the float caveat). Only the zero-width gaps between repeated
+    cuts are dropped.
     """
     if not math.isfinite(capacity) or capacity < 0:
         raise ValueError(f"capacity must be finite and >= 0, got {capacity!r}")
@@ -109,10 +108,10 @@ def decompose(load: LoadTrace, capacity: float) -> Pieces:
     levels = np.concatenate(([0.0], cumulative[cumulative > 0]))
     cuts = np.concatenate((levels, shifted[shifted < cumulative[-1]]))
     # a stable sort merges the two sorted runs, and its order tells each cut's
-    # run; a repeated cut leaves a zero-width gap, which the dust filter drops
+    # run; a repeated cut leaves a zero-width gap, the only gap dropped
     order = np.argsort(cuts, kind="stable")
     quantity = np.diff(cuts[order])
-    kept = np.flatnonzero(quantity > _PIECE_EPS)
+    kept = np.flatnonzero(quantity > 0)
     # the cuts at positions <= i are exactly those <= gap i's lower level, so
     # t_start counts the shifted ones there; t_end counts the D[t] < upper:
     # the other cuts there but the 0 cut, and the slots where D is still 0

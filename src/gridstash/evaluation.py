@@ -122,7 +122,7 @@ def uniform_bound(mean: float, std: float, horizon: int) -> float:
 
     4*sqrt(3)*std/(T-1) - T*mean*(1 - (mean^2+std^2)/(2*sqrt(3)*mean*std))^(T-1),
     valid when the implied support [mean - sqrt(3)std, mean + sqrt(3)std]
-    stays nonnegative.
+    stays nonnegative, up to a rounding slack of 1e-9 * mean.
     """
     if horizon < 2:
         raise ValueError(f"bound needs horizon >= 2, got {horizon}")
@@ -131,7 +131,7 @@ def uniform_bound(mean: float, std: float, horizon: int) -> float:
     if mean <= 0:
         raise BoundDomainError(f"mean must be positive, got {mean!r}")
     low = mean - math.sqrt(3.0) * std
-    if low < -1e-9:
+    if low < -1e-9 * mean:
         raise BoundDomainError(
             f"implied support lower endpoint {low!r} is negative; bound domain excludes it"
         )

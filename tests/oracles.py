@@ -90,7 +90,8 @@ def reference_decompose(demand, capacity: float) -> list[tuple[float, int, int]]
     For each slot t_e with demand, its level interval (D[t_e-1], D[t_e]] is
     cut at the shifted levels A[t] = D[t] + B; the sub-interval between
     consecutive cuts can first be bought at the earliest slot whose shifted
-    level exceeds its lower cut. Sub-intervals of 1e-12 or less are dropped.
+    level exceeds its lower cut. Every sub-interval of positive width is a
+    piece; only empty ones, where a shifted level repeats a cut, are dropped.
     """
     values = np.asarray(demand, dtype=float)
     cumulative = np.cumsum(values)
@@ -105,7 +106,7 @@ def reference_decompose(demand, capacity: float) -> list[tuple[float, int, int]]
             t_start = int(np.searchsorted(shifted, current, side="right"))
             cut = min(upper, float(shifted[t_start])) if t_start < t_end else upper
             quantity = cut - current
-            if quantity > 1e-12:
+            if quantity > 0:
                 pieces.append((quantity, t_start, t_end))
             current = cut
     return pieces
@@ -113,7 +114,8 @@ def reference_decompose(demand, capacity: float) -> list[tuple[float, int, int]]
 
 def sorted_cut_decompose(demand, capacity: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(quantity, t_start, t_end) arrays: sort every cut, then binary-search
-    each piece's first purchase slot and deadline. Gaps of 1e-12 or less are
+    each piece's first purchase slot and deadline. Every gap of positive
+    width is a piece; only the zero-width gaps between repeated cuts are
     dropped.
     """
     cumulative = np.cumsum(np.asarray(demand, dtype=float))
@@ -122,7 +124,7 @@ def sorted_cut_decompose(demand, capacity: float) -> tuple[np.ndarray, np.ndarra
         np.concatenate(([0.0], cumulative[cumulative > 0], shifted[shifted < cumulative[-1]]))
     )
     lower, upper = cuts[:-1], cuts[1:]
-    keep = upper - lower > 1e-12
+    keep = upper - lower > 0
     return (
         (upper - lower)[keep],
         np.searchsorted(shifted, lower[keep], side="right"),

@@ -640,6 +640,42 @@ def test_size_auto_grid_scales_with_the_loads(price_csv, load_csv, tmp_path):
     assert grids[1] == [b * 2.0**-10 for b in grids[0]]
 
 
+def _ten_day_pair(tmp_path, load_factor: float) -> tuple[Path, Path]:
+    """A 10-day synth price trace and its load trace times ``load_factor``."""
+    prices, loads = tmp_path / "prices.csv", tmp_path / "loads.csv"
+    for kind, seed, path in (("price", "1", prices), ("load", "2", loads)):
+        assert run("synth", "--kind", kind, "--hours", "240", "--seed", seed,
+                   "--out", str(path)) == 0
+    trace = load_load_trace(loads)
+    save_load_trace(load_trace_from_values(trace.values * load_factor, trace.start), loads)
+    return prices, loads
+
+
+@pytest.mark.parametrize("factor", [1e-13, 2.0**-60], ids=["1e-13", "2^-60"])
+def test_backtest_serves_loads_in_tiny_units(tmp_path, capsys, factor):
+    # demand far below 1e-12 per slot is still demand: every slice of it is
+    # served, so the dispatch balances and the betas are the unscaled ones
+    betas = []
+    for i, scale in enumerate((1.0, factor)):
+        prices, loads = _ten_day_pair(tmp_path / str(i), scale)
+        out = tmp_path / str(i) / "bt"
+        assert run("backtest", "--prices", str(prices), "--loads", str(loads),
+                   "--variant", "single", "--train-days", "5", "--capacity-fraction", "0.5",
+                   "--out", str(out), "--reproducible") == 0
+        betas.append(json.loads((out / "report.json").read_text())["summary"]["beta_mean"])
+    assert capsys.readouterr().out.count("mean beta 1.0357") == 2
+    assert betas[1] == pytest.approx(betas[0], rel=1e-12)
+
+
+def test_size_on_loads_in_tiny_units_keeps_a_non_increasing_curve(tmp_path):
+    prices, loads = _ten_day_pair(tmp_path, 1e-12)
+    out = tmp_path / "size"
+    assert run("size", "--prices", str(prices), "--loads", str(loads),
+               "--grid", "0,1e-12,1e-11", "--out", str(out), "--reproducible") == 0
+    costs = json.loads((out / "result.json").read_text())["min_cost"]
+    assert costs[0] > 0 and costs == sorted(costs, reverse=True)
+
+
 @pytest.mark.parametrize("command", [
     ["fit"],
     ["backtest", "--train-days", "21", "--capacity", "2.0", "--k-max", "2"],
