@@ -62,7 +62,10 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     can serve several subcommands. Each value is checked with its option's own
     type and choices, and a bad one is reported under the config file's name.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     tokens = []

@@ -1,9 +1,14 @@
 """Hourly trace ingestion, validation, serialization, and train/test splitting.
 
-Traces are two-column CSV files (``timestamp,price`` or ``timestamp,demand``)
-with ISO-8601 timestamps on exact hour boundaries. Internally a trace is a
-wall-clock start plus a dense float array, one value per hour; missing or
-duplicated hours are hard errors, never silently interpolated.
+A trace file is a two-column UTF-8 CSV (``timestamp,price`` or
+``timestamp,demand``) as the csv module reads it: a leading byte-order mark,
+quoted or padded cells, CRLF ends and blank lines are fine, and the header's
+case is not checked. Stamps are ISO 8601 on exact hour boundaries, all naive
+or all aware (``Z`` is UTC); values are finite; rows may come in any order.
+Errors come per row in file order, then for a naive/aware mix, then for the
+first duplicate or gap in time order (never silently interpolated), then from
+the trace's own value checks. Internally a trace is a wall-clock start plus a
+dense float array, one value per hour.
 """
 
 from __future__ import annotations
@@ -103,83 +108,74 @@ def load_trace_from_values(values, start: datetime = DEFAULT_START) -> LoadTrace
     return LoadTrace(start, np.asarray(values, dtype=float))
 
 
-def _parse_timestamp(text: str, lineno: int) -> datetime:
-    raw = text.strip()
-    if raw.endswith("Z"):
-        raw = raw[:-1] + "+00:00"
+def _load_trace(path, header: tuple[str, str], cls):
+    """Read and check one trace file; every trace error it raises names the file.
+
+    The first bad row in file order raises with its line number (csv syntax,
+    field count, stamp, hour boundary, finite value); then a naive/aware mix;
+    then the first duplicate or gap in time order; last ``cls``'s value checks.
+    """
+    stamps, values = [], []
+    lineno = 0
     try:
-        ts = datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise TraceParseError(f"line {lineno}: bad timestamp {text!r}: {exc}") from None
-    if ts.minute or ts.second or ts.microsecond:
-        raise TraceParseError(
-            f"line {lineno}: timestamp {text!r} is not on an hour boundary"
-        )
-    return ts
-
-
-def _parse_value(text: str, name: str, lineno: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise TraceParseError(f"line {lineno}: bad {name} {text!r}") from None
-    if not math.isfinite(value):
-        raise TraceParseError(f"line {lineno}: {name} {text!r} is not finite")
-    return value
-
-
-def _read_rows(path, header: tuple[str, str]) -> list[tuple[datetime, float]]:
-    # utf-8-sig drops the byte-order mark that spreadsheet exports often lead with
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None:
-            raise EmptyTraceError("file is empty")
-        got = tuple(cell.strip().lower() for cell in first)
-        if got != header:
-            raise TraceParseError(
-                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
-            )
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(cells)}")
-            ts = _parse_timestamp(cells[0], lineno)
-            rows.append((ts, _parse_value(cells[1], header[1], lineno)))
-    if not rows:
-        raise EmptyTraceError("no data rows")
-    return rows
-
-
-def _rows_to_trace(rows: list[tuple[datetime, float]], cls):
-    try:
-        rows.sort(key=lambda row: row[0])
-    except TypeError:
-        raise TraceParseError(
-            "cannot mix timezone-aware and naive timestamps in one trace"
-        ) from None
-    hour = timedelta(hours=1)
-    for (prev_ts, _), (ts, _) in zip(rows, rows[1:]):
-        delta = ts - prev_ts
-        if delta == timedelta(0):
-            raise TraceGapError(f"duplicate timestamp {ts.isoformat()}")
-        if delta != hour:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often lead with
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = enumerate(csv.reader(handle), start=1)
+            lineno, first = next(rows, (0, None))
+            if first is None:
+                raise EmptyTraceError("file is empty")
+            if tuple(cell.strip().lower() for cell in first) != header:
+                raise TraceParseError(
+                    f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+                )
+            for lineno, cells in rows:
+                if not cells:
+                    continue
+                if len(cells) != 2:
+                    raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(cells)}")
+                text, cell = cells
+                raw = text.strip()
+                if raw.endswith("Z"):  # Python 3.10's fromisoformat rejects Z
+                    raw = raw[:-1] + "+00:00"
+                try:
+                    ts = datetime.fromisoformat(raw)
+                except ValueError as exc:
+                    raise TraceParseError(
+                        f"line {lineno}: bad timestamp {text!r}: {exc}"
+                    ) from None
+                if ts.minute or ts.second or ts.microsecond:
+                    raise TraceParseError(
+                        f"line {lineno}: timestamp {text!r} is not on an hour boundary"
+                    )
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise TraceParseError(f"line {lineno}: bad {header[1]} {cell!r}") from None
+                if not math.isfinite(value):
+                    raise TraceParseError(f"line {lineno}: {header[1]} {cell!r} is not finite")
+                stamps.append(ts)
+                values.append(value)
+        if not stamps:
+            raise EmptyTraceError("no data rows")
+        if len({ts.tzinfo is None for ts in stamps}) > 1:
+            raise TraceParseError("cannot mix timezone-aware and naive timestamps in one trace")
+        # seconds from the first row: aware stamps subtract in UTC, naive ones on the wall clock
+        seconds = np.array([(ts - stamps[0]).total_seconds() for ts in stamps])
+        order = np.argsort(seconds, kind="stable")
+        steps = np.flatnonzero(np.diff(seconds[order]) != 3600.0)
+        if steps.size:
+            prev_ts, ts = stamps[order[steps[0]]], stamps[order[steps[0] + 1]]
+            if ts == prev_ts:
+                raise TraceGapError(f"duplicate timestamp {ts.isoformat()}")
             raise TraceGapError(
                 f"gap between {prev_ts.isoformat()} and {ts.isoformat()}: "
-                f"expected 1 hour, got {delta}"
+                f"expected 1 hour, got {ts - prev_ts}"
             )
-    values = np.array([value for _, value in rows], dtype=float)
-    return cls(rows[0][0], values)
-
-
-def _load_trace(path, header: tuple[str, str], cls):
-    """Read and check one trace file; every trace error it raises names the file."""
-    try:
-        return _rows_to_trace(_read_rows(path, header), cls)
+        return cls(stamps[order[0]], np.array(values)[order])
     except (TraceParseError, TraceGapError, TraceValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    except csv.Error as exc:  # an unclosed quote runs into the field size limit
+        raise TraceParseError(f"{path}: line {lineno + 1}: bad CSV row: {exc}") from None
     except UnicodeDecodeError:
         # no line number: the decoder reads ahead in chunks
         raise TraceParseError(f"{path}: file is not UTF-8 text") from None

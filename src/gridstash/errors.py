@@ -18,7 +18,7 @@ class TraceParseError(GridstashError):
 
 
 class EmptyTraceError(TraceParseError):
-    """A trace file contains a header but no data rows."""
+    """A trace has no data: an empty file, a header with no data rows, or no values."""
 
 
 class TraceGapError(GridstashError):

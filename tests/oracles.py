@@ -23,12 +23,18 @@ match to within a few ulp.
 The expected minimum of two draws integrates p * pdf * survival with scipy's
 quadrature; the density infimum refines the grid minimum with scipy's bounded
 scalar search, where the package zooms with finer numpy grids.
+The trace reader reference is the package's former per-row reader: it parses
+each row into a (datetime, float) tuple, sorts the tuples and walks them
+pairwise, where the package orders all rows with one stable argsort; both must
+accept the same files and raise the same errors.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
+from datetime import datetime, timedelta
 
 import numpy as np
 from scipy import integrate, optimize
@@ -42,7 +48,15 @@ from gridstash.distributions import (
     PriceDistribution,
     make_model,
 )
-from gridstash.errors import DegenerateFitError, InsufficientSamplesError, LengthMismatchError
+from gridstash.errors import (
+    DegenerateFitError,
+    EmptyTraceError,
+    InsufficientSamplesError,
+    LengthMismatchError,
+    TraceGapError,
+    TraceParseError,
+    TraceValidationError,
+)
 from gridstash.gmm import (
     _SIGMA_FLOOR,
     EmConfig,
@@ -450,3 +464,87 @@ def reference_density_infimum(dist: PriceDistribution, theta: float) -> float:
         if result.success:
             best = min(best, float(result.fun))
     return max(best, 0.0)
+
+
+def _parse_timestamp(text: str, lineno: int) -> datetime:
+    raw = text.strip()
+    if raw.endswith("Z"):
+        raw = raw[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(raw)
+    except ValueError as exc:
+        raise TraceParseError(f"line {lineno}: bad timestamp {text!r}: {exc}") from None
+    if ts.minute or ts.second or ts.microsecond:
+        raise TraceParseError(
+            f"line {lineno}: timestamp {text!r} is not on an hour boundary"
+        )
+    return ts
+
+
+def _parse_value(text: str, name: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise TraceParseError(f"line {lineno}: bad {name} {text!r}") from None
+    if not math.isfinite(value):
+        raise TraceParseError(f"line {lineno}: {name} {text!r} is not finite")
+    return value
+
+
+def _read_rows(path, header: tuple[str, str]) -> list[tuple[datetime, float]]:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often lead with
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None:
+            raise EmptyTraceError("file is empty")
+        got = tuple(cell.strip().lower() for cell in first)
+        if got != header:
+            raise TraceParseError(
+                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+            )
+        rows = []
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != 2:
+                raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(cells)}")
+            ts = _parse_timestamp(cells[0], lineno)
+            rows.append((ts, _parse_value(cells[1], header[1], lineno)))
+    if not rows:
+        raise EmptyTraceError("no data rows")
+    return rows
+
+
+def _rows_to_trace(rows: list[tuple[datetime, float]], cls):
+    try:
+        rows.sort(key=lambda row: row[0])
+    except TypeError:
+        raise TraceParseError(
+            "cannot mix timezone-aware and naive timestamps in one trace"
+        ) from None
+    hour = timedelta(hours=1)
+    for (prev_ts, _), (ts, _) in zip(rows, rows[1:]):
+        delta = ts - prev_ts
+        if delta == timedelta(0):
+            raise TraceGapError(f"duplicate timestamp {ts.isoformat()}")
+        if delta != hour:
+            raise TraceGapError(
+                f"gap between {prev_ts.isoformat()} and {ts.isoformat()}: "
+                f"expected 1 hour, got {delta}"
+            )
+    values = np.array([value for _, value in rows], dtype=float)
+    return cls(rows[0][0], values)
+
+
+def reference_load_trace(path, header: tuple[str, str], cls):
+    """The former per-row trace reader: rows parsed into (datetime, float)
+    tuples, sorted by stamp and walked pairwise. Every trace error it raises
+    names the file."""
+    try:
+        return _rows_to_trace(_read_rows(path, header), cls)
+    except (TraceParseError, TraceGapError, TraceValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        # no line number: the decoder reads ahead in chunks
+        raise TraceParseError(f"{path}: file is not UTF-8 text") from None

@@ -473,6 +473,22 @@ def test_config_must_be_json_object(price_csv, tmp_path):
                "--out", str(tmp_path / "o")) == 2
 
 
+def test_truncated_config_error_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"k_max": 1,', encoding="utf-8")
+    assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {cfg}: Expecting property name enclosed in double quotes")
+
+
+def test_non_utf8_config_error_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin.json"
+    cfg.write_bytes('{"out": "café"}'.encode("latin-1"))
+    assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+
+
 @pytest.mark.parametrize("command, config, message", [
     ("fit", {"k_max": [3]}, "argument --k-max: invalid int value: '[3]'"),
     ("fit", {"k_max": 2.7}, "argument --k-max: invalid int value: '2.7'"),

@@ -22,11 +22,13 @@ from gridstash.data_io import (
 from gridstash.errors import (
     AlignmentError,
     EmptyTraceError,
+    GridstashError,
     InsufficientDataError,
     TraceGapError,
     TraceParseError,
     TraceValidationError,
 )
+from oracles import reference_load_trace
 
 
 def write(path, text):
@@ -134,8 +136,11 @@ def test_negative_demand_rejected(tmp_path):
     ("2020-01-01T00:00,inf\n", TraceParseError, "is not finite"),
     ("2020-01-01T00:00,1.0\n2020-01-01T01:00,-2.0\n", TraceValidationError,
      "negative demand -2.0 at slot 1"),
+    # an unclosed quote swallows the rest of the file into one oversized field
+    ('2020-01-01T00:00,1.0\n"' + "2020-01-01T01:00,2.0\n" * 7000, TraceParseError,
+     "line 3: bad CSV row: field larger than field limit"),
 ], ids=["gap", "duplicate", "mixed-tz", "bad-timestamp", "off-hour", "bad-value", "non-finite",
-        "negative"])
+        "negative", "unclosed-quote"])
 def test_trace_errors_name_the_file_once(tmp_path, body, error, message):
     path = write(tmp_path / "demand.csv", "timestamp,demand\n" + body)
     with pytest.raises(error) as caught:
@@ -257,3 +262,108 @@ def test_values_are_read_only():
 def test_trace_start_must_be_on_hour():
     with pytest.raises(TraceValidationError):
         PriceTrace(datetime(2020, 1, 1, 0, 30), np.array([1.0]))
+
+
+_STAMPS = [f"2020-03-01T{h:02d}:00" for h in range(24)]
+_VALUES = [repr(v) for v in np.random.default_rng(7).normal(40.0, 25.0, 24).tolist()]
+
+
+def _rows(stamps):
+    return [f"{stamp},{value}" for stamp, value in zip(stamps, _VALUES)]
+
+
+_ROWS = _rows(_STAMPS)
+
+
+def _csv(rows, header="timestamp,price", end="\n") -> bytes:
+    return "".join(line + end for line in (header, *rows)).encode("utf-8")
+
+
+def _with(index, row, rows=_ROWS):
+    return [row if i == index else r for i, r in enumerate(rows)]
+
+
+def _shuffled(seed, rows=_ROWS):
+    return [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+
+
+_DUP_GAP = [r for i, r in enumerate(_ROWS) if i != 15] + [f"{_STAMPS[3]},1.0"]
+
+_DIFFERENTIAL = [
+    # accepted layouts
+    ("crlf", "price", _csv(_ROWS, end="\r\n")),
+    ("bom", "price", b"\xef\xbb\xbf" + _csv(_ROWS)),
+    ("blank-lines", "price", _csv([*_ROWS[:5], "", "", *_ROWS[5:], ""])),
+    ("quoted", "price", _csv([f'"{s}","{v}"' for s, v in zip(_STAMPS, _VALUES)])),
+    ("padded", "price", _csv([f"  {s} , {v}  " for s, v in zip(_STAMPS, _VALUES)],
+                             header=" Timestamp , PRICE ")),
+    ("three-fields", "price", _csv(_with(6, f"{_STAMPS[6]},1.0,2.0"))),
+    ("underscore", "price", _csv(_with(2, f"{_STAMPS[2]},1_000"))),
+    # time zones
+    ("z", "price", _csv(_rows(s + "Z" for s in _STAMPS))),
+    ("seconds-z", "price", _csv(_rows(s + ":00Z" for s in _STAMPS))),
+    ("plus-0530", "price", _csv(_rows(s + "+05:30" for s in _STAMPS))),
+    ("dst-spring", "price", _csv(_rows([
+        "2024-03-31T00:00+01:00", "2024-03-31T01:00+01:00",
+        "2024-03-31T03:00+02:00", "2024-03-31T04:00+02:00"]))),
+    ("dst-fall", "price", _csv(_rows([
+        "2024-10-27T01:00+02:00", "2024-10-27T02:00+02:00",
+        "2024-10-27T02:00+01:00", "2024-10-27T03:00+01:00"]))),
+    # one day written in +02:00 and again in +01:00, shuffled: each instant
+    # twice under two names, so the error names the later row in file order
+    ("dst-fall-duplicate", "price", _csv(_shuffled(2, [
+        f"2024-10-2{6 + (h + off) // 24}T{(h + off) % 24:02d}:00+0{off}:00,{h}.5"
+        for off in (2, 1) for h in range(24)]))),
+    # row order
+    ("reversed", "price", _csv(_ROWS[::-1])),
+    *((f"shuffle-{seed}", "price", _csv(_shuffled(seed))) for seed in range(15)),
+    ("swap", "price", _csv(_with(9, _ROWS[4], _with(4, _ROWS[9])))),
+    ("duplicate", "price", _csv([*_ROWS[:6], f"{_STAMPS[5]},1.0", *_ROWS[6:]])),
+    ("gap", "price", _csv(_ROWS[:10] + _ROWS[11:])),
+    # the gap comes first in the file, the duplicate first in time
+    ("duplicate-before-gap", "price", _csv(_DUP_GAP[::-1])),
+    # bad rows
+    ("bad-stamp", "price", _csv(_with(3, f"yesterday,{_VALUES[3]}"))),
+    ("off-hour", "price", _csv(_with(3, f"2020-03-01T03:30,{_VALUES[3]}"))),
+    ("microsecond", "price", _csv(_with(3, f"2020-03-01T03:00:00.000001,{_VALUES[3]}"))),
+    ("date-only", "price", _csv(_with(0, f"2020-03-01,{_VALUES[0]}"))),
+    ("bad-value", "price", _csv(_with(3, f"{_STAMPS[3]},abc"))),
+    ("nan", "price", _csv(_with(3, f"{_STAMPS[3]},NaN"))),
+    ("minus-inf", "price", _csv(_with(3, f"{_STAMPS[3]},-inf"))),
+    ("mixed-tz", "price", _csv(_with(5, f"{_STAMPS[5]}Z,{_VALUES[5]}"))),
+    # several faults: the first in file order wins, and any bad row beats a mixed zone
+    ("value-before-stamp", "price",
+     _csv(_with(8, f"never,{_VALUES[8]}", _with(2, f"{_STAMPS[2]},x")))),
+    ("mixed-tz-and-bad-value", "price",
+     _csv(_with(10, f"{_STAMPS[10]},x", _with(1, f"{_STAMPS[1]}Z,{_VALUES[1]}")))),
+    # whole files
+    ("empty", "price", b""),
+    ("header-only", "price", _csv([])),
+    ("bad-header", "price", _csv(_ROWS, header="time,price")),
+    ("one-row", "price", _csv(_ROWS[:1])),
+    ("negative-demand", "demand",
+     _csv(_with(7, f"{_STAMPS[7]},-0.25", [f"{s},1.5" for s in _STAMPS]), header="timestamp,demand")),
+    ("non-utf8", "price", _csv(_ROWS[:3]) + "2020-03-01T03:00,1.0 café\n".encode("latin-1")),
+]
+
+_READERS = {
+    "price": (load_price_trace, ("timestamp", "price"), PriceTrace),
+    "demand": (load_load_trace, ("timestamp", "demand"), LoadTrace),
+}
+
+
+def _outcome(load, path):
+    try:
+        trace = load(path)
+    except GridstashError as exc:
+        return type(exc), str(exc).replace(str(path), "<path>")
+    return type(trace), trace.start.isoformat(), trace.values.tobytes()
+
+
+@pytest.mark.parametrize("kind, data", [row[1:] for row in _DIFFERENTIAL],
+                         ids=[row[0] for row in _DIFFERENTIAL])
+def test_reader_matches_the_per_row_reference(tmp_path, kind, data):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    load, header, cls = _READERS[kind]
+    assert _outcome(load, path) == _outcome(lambda p: reference_load_trace(p, header, cls), path)
