@@ -38,15 +38,7 @@ from .data_io import (
     write_csv,
 )
 from .distributions import GmmDistribution, GmmModel, load_model, model_to_json_dict, save_model
-from .errors import (
-    AlignmentError,
-    DegenerateFitError,
-    GridstashError,
-    InsufficientSamplesError,
-    TraceGapError,
-    TraceParseError,
-    TraceValidationError,
-)
+from .errors import FitError, GridstashError, InputError
 from .evaluation import daily_cost_ratios, general_serving_study, one_shot_regret_study
 from .heuristics import Variant, fit_estimator
 from .sizing import min_cost_curve, optimal_capacity
@@ -575,17 +567,10 @@ def main(argv=None) -> int:
             tokens = _config_tokens(args.parser, args.config)
             args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
         return args.func(args)
-    except (
-        TraceParseError,
-        TraceGapError,
-        TraceValidationError,
-        AlignmentError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateFitError, InsufficientSamplesError) as exc:
+    except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 3
     except GridstashError as exc:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     EmptyTraceError,
+    InputError,
     InsufficientDataError,
     TraceGapError,
     TraceParseError,
@@ -116,19 +117,21 @@ def _load_trace(path, header: tuple[str, str], cls):
     then the first duplicate or gap in time order; last ``cls``'s value checks.
     """
     stamps, values = [], []
-    lineno = 0
+    end = 0  # the line the last record read ends on; a quoted cell may span lines
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports often lead with
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows = enumerate(csv.reader(handle), start=1)
-            lineno, first = next(rows, (0, None))
+            reader = csv.reader(handle)
+            first = next(reader, None)
             if first is None:
                 raise EmptyTraceError("file is empty")
             if tuple(cell.strip().lower() for cell in first) != header:
                 raise TraceParseError(
                     f"expected header {','.join(header)!r}, got {','.join(first)!r}"
                 )
-            for lineno, cells in rows:
+            end = reader.line_num
+            for cells in reader:
+                lineno, end = end + 1, reader.line_num
                 if not cells:
                     continue
                 if len(cells) != 2:
@@ -172,10 +175,10 @@ def _load_trace(path, header: tuple[str, str], cls):
                 f"expected 1 hour, got {ts - prev_ts}"
             )
         return cls(stamps[order[0]], np.array(values)[order])
-    except (TraceParseError, TraceGapError, TraceValidationError) as exc:
+    except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except csv.Error as exc:  # an unclosed quote runs into the field size limit
-        raise TraceParseError(f"{path}: line {lineno + 1}: bad CSV row: {exc}") from None
+        raise TraceParseError(f"{path}: line {end + 1}: bad CSV row: {exc}") from None
     except UnicodeDecodeError:
         # no line number: the decoder reads ahead in chunks
         raise TraceParseError(f"{path}: file is not UTF-8 text") from None

@@ -27,6 +27,19 @@ from .data_io import LoadTrace, PriceTrace, ensure_aligned
 from .errors import AssignmentWindowError, InfeasibleDispatchError, LengthMismatchError
 
 
+def _freeze_columns(record, columns: dict, name: str) -> None:
+    """Store each column of a frozen record as a read-only 1-D copy of its dtype;
+    the columns must share one length."""
+    for column, dtype in columns.items():
+        arr = np.array(getattr(record, column), dtype=dtype, copy=True)
+        if arr.ndim != 1:
+            raise ValueError(f"{column} must be 1-D")
+        arr.setflags(write=False)
+        object.__setattr__(record, column, arr)
+    if len({getattr(record, column).size for column in columns}) > 1:
+        raise LengthMismatchError(f"{name} arrays differ in length")
+
+
 @dataclass(frozen=True, eq=False)
 class Pieces:
     """One-shot jobs as parallel read-only arrays: piece i buys ``quantity[i]``
@@ -41,14 +54,7 @@ class Pieces:
     t_end: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("quantity", float), ("t_start", np.int64), ("t_end", np.int64)):
-            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not self.quantity.size == self.t_start.size == self.t_end.size:
-            raise LengthMismatchError("piece arrays differ in length")
+        _freeze_columns(self, {"quantity": float, "t_start": np.int64, "t_end": np.int64}, "piece")
 
     def __len__(self) -> int:
         return int(self.quantity.size)
@@ -67,18 +73,7 @@ class DispatchSchedule:
     discharge: np.ndarray
 
     def __post_init__(self) -> None:
-        arrs = []
-        for name in ("direct", "charge", "discharge"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-            arr.setflags(write=False)
-            arrs.append(arr)
-        if not arrs[0].size == arrs[1].size == arrs[2].size:
-            raise LengthMismatchError("schedule arrays differ in length")
-        object.__setattr__(self, "direct", arrs[0])
-        object.__setattr__(self, "charge", arrs[1])
-        object.__setattr__(self, "discharge", arrs[2])
+        _freeze_columns(self, dict.fromkeys(("direct", "charge", "discharge"), float), "schedule")
 
     def __len__(self) -> int:
         return int(self.direct.size)

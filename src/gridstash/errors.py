@@ -1,9 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package; they decide the CLI exit codes.
 
-Everything raised on bad input or a failed computation derives from
-GridstashError so callers can catch package failures with one except clause;
-plain ValueError is reserved for outright API misuse (wrong argument types,
-nonsensical constants) caught during development.
+Everything raised on a bad trace or a failed computation derives from
+GridstashError. An InputError (a trace that cannot be read or paired) exits 2,
+a FitError 3 and any other GridstashError 4. Plain ValueError (a bad option,
+config or model file, or API misuse) and OSError also exit 2.
 """
 
 from __future__ import annotations
@@ -13,7 +13,15 @@ class GridstashError(Exception):
     """Base class for all package-specific failures."""
 
 
-class TraceParseError(GridstashError):
+class InputError(GridstashError):
+    """An input trace cannot be read, checked or paired: exit code 2."""
+
+
+class FitError(GridstashError):
+    """A mixture fit failed: exit code 3."""
+
+
+class TraceParseError(InputError):
     """A trace file is malformed: bad header, bad row, bad timestamp or value."""
 
 
@@ -21,15 +29,15 @@ class EmptyTraceError(TraceParseError):
     """A trace has no data: an empty file, a header with no data rows, or no values."""
 
 
-class TraceGapError(GridstashError):
+class TraceGapError(InputError):
     """Consecutive timestamps are not exactly one hour apart."""
 
 
-class TraceValidationError(GridstashError):
+class TraceValidationError(InputError):
     """Trace values violate a domain constraint (e.g. negative demand)."""
 
 
-class AlignmentError(GridstashError):
+class AlignmentError(InputError):
     """Paired price/load traces do not share start timestamp and length."""
 
 
@@ -37,11 +45,11 @@ class InsufficientDataError(GridstashError):
     """Not enough rows/samples for the requested operation."""
 
 
-class InsufficientSamplesError(InsufficientDataError):
+class InsufficientSamplesError(InsufficientDataError, FitError):
     """Fewer samples than mixture components requested."""
 
 
-class DegenerateFitError(GridstashError):
+class DegenerateFitError(FitError):
     """EM collapsed: a component lost all responsibility or the likelihood broke."""
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import gridstash.cli as cli
+import gridstash.errors as errors
 import gridstash.gmm
 import gridstash.policy
 from gridstash.data_io import (
@@ -712,6 +713,45 @@ def test_a_failed_json_write_exits_2_and_prints_nothing(price_csv, load_csv, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: No space left on device\n"
+
+
+# every package error class with the exit code and stderr prefix main gives it
+EXIT_CODES = {
+    **dict.fromkeys([
+        errors.InputError, errors.TraceParseError, errors.EmptyTraceError, errors.TraceGapError,
+        errors.TraceValidationError, errors.AlignmentError, ValueError, OSError,
+    ], (2, "error:")),
+    **dict.fromkeys([
+        errors.FitError, errors.DegenerateFitError, errors.InsufficientSamplesError,
+    ], (3, "fit failed:")),
+    **dict.fromkeys([
+        errors.GridstashError, errors.InsufficientDataError, errors.LengthMismatchError,
+        errors.InfeasibleDispatchError, errors.AssignmentWindowError,
+        errors.NonpositiveOptimumError, errors.NegativeSupportError, errors.ZeroBetaSumError,
+        errors.BoundDomainError,
+    ], (4, "experiment failed:")),
+}
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_exit_code(price_csv, load_csv, tmp_path, monkeypatch, capsys,
+                                            error):
+    defined = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.GridstashError)
+    }
+    assert defined <= set(EXIT_CODES)
+    assert issubclass(errors.InsufficientSamplesError, errors.InsufficientDataError)
+
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "min_cost_curve", boom)
+    capsys.readouterr()
+    code, prefix = EXIT_CODES[error]
+    assert run("size", "--prices", str(price_csv), "--loads", str(load_csv),
+               "--grid", "0,1", "--out", str(tmp_path / "out")) == code
+    assert capsys.readouterr().err == f"{prefix} boom\n"
 
 
 def test_missing_required_option_exits_2(tmp_path):

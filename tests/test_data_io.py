@@ -139,8 +139,13 @@ def test_negative_demand_rejected(tmp_path):
     # an unclosed quote swallows the rest of the file into one oversized field
     ('2020-01-01T00:00,1.0\n"' + "2020-01-01T01:00,2.0\n" * 7000, TraceParseError,
      "line 3: bad CSV row: field larger than field limit"),
+    # a quoted cell spanning lines 2-3 moves the next record to line 4
+    ('2020-01-01T00:00,"1.0\n"\n2020-01-01T01:00,abc\n', TraceParseError, "line 4: bad demand"),
+    ('2020-01-01T00:00,"1.0\n"\n"' + "2020-01-01T01:00,2.0\n" * 7000, TraceParseError,
+     "line 4: bad CSV row: field larger than field limit"),
 ], ids=["gap", "duplicate", "mixed-tz", "bad-timestamp", "off-hour", "bad-value", "non-finite",
-        "negative", "unclosed-quote"])
+        "negative", "unclosed-quote", "multiline-cell-then-bad-value",
+        "multiline-cell-then-unclosed-quote"])
 def test_trace_errors_name_the_file_once(tmp_path, body, error, message):
     path = write(tmp_path / "demand.csv", "timestamp,demand\n" + body)
     with pytest.raises(error) as caught:
